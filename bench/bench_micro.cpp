@@ -10,13 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <unordered_map>
 
@@ -29,7 +27,6 @@
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
 #include "spectral/probes.hpp"
-#include "util/sharded_queue.hpp"
 #include "workload/generators.hpp"
 
 using namespace xheal;
@@ -191,30 +188,6 @@ void BM_XhealChurnStep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_XhealChurnStep)->Arg(128)->Arg(1024);
-
-// The shard engine's handoff primitive (DESIGN.md decision 13): one
-// producer, one consumer, a power-of-two SPSC ring. Measures round-trip
-// cost per item under a live consumer thread — the per-delete overhead
-// floor of `--shards N` relative to the serial call.
-void BM_SpscRingHandoff(benchmark::State& state) {
-    util::SpscRing<std::uint64_t> ring;
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> consumed{0};
-    std::thread consumer([&] {
-        std::uint64_t v;
-        while (!stop.load(std::memory_order_acquire))
-            if (ring.try_pop(v)) consumed.fetch_add(1, std::memory_order_relaxed);
-    });
-    std::uint64_t pushed = 0;
-    for (auto _ : state) {
-        ring.push(pushed++);
-    }
-    while (consumed.load(std::memory_order_acquire) < pushed) {}
-    stop.store(true, std::memory_order_release);
-    consumer.join();
-    state.SetItemsProcessed(static_cast<std::int64_t>(pushed));
-}
-BENCHMARK(BM_SpscRingHandoff);
 
 // ---------------------------------------------------------------------------
 // Graph storage core: slot-indexed flat adjacency vs the old hash-of-hashes.

@@ -7,7 +7,6 @@
 #include "core/metrics.hpp"
 #include "graph/algorithms.hpp"
 #include "scenario/probe_pipeline.hpp"
-#include "scenario/shard_engine.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
 
@@ -73,8 +72,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec, graph::Graph initial)
       session_(build_session(spec_, rng_, &initial, kappa_, registry_)) {
     session_.enable_graph_journals(journal_limit_for(session_));
 }
-
-ScenarioRunner::~ScenarioRunner() = default;
 
 ScenarioRunner::Probes ScenarioRunner::parse_probes(const ScenarioSpec& spec) {
     Probes probes;
@@ -304,22 +301,6 @@ RunResult ScenarioRunner::run() {
         PhaseResult stats;
         stats.name = phase.name;
         stats.steps = phase.steps;
-        // Shard-engine lifecycle (DESIGN.md decision 13): the effective
-        // width is CLI override > phase `shards=` > spec `shards`,
-        // re-resolved at every phase entry. Width 1 tears the engine down
-        // entirely — the serial path is the exact pre-sharding code, not a
-        // one-shard engine.
-        std::size_t eff_shards = shards_override_ != 0
-                                     ? shards_override_
-                                     : phase.shards.value_or(spec_.shards);
-        if (eff_shards == 0) eff_shards = 1;
-        result.shards = std::max(result.shards, eff_shards);
-        if (eff_shards <= 1) {
-            engine_.reset();
-        } else if (engine_ == nullptr || engine_->shard_count() != eff_shards) {
-            engine_.reset();  // join the old width before spawning the new
-            engine_ = std::make_unique<ShardEngine>(session_, eff_shards, spec_.seed);
-        }
         // Per-phase seed (grammar v2): reseed the master stream at phase
         // entry, making the phase's adversary decisions independent of the
         // schedule prefix (sweeps may reorder phases without perturbation).
@@ -337,27 +318,13 @@ RunResult ScenarioRunner::run() {
         // work; one flush per k deletions (or at a sample / successful
         // insert / phase end) runs a single connect_units for the batch.
         std::size_t staged = 0;
-        // Every read of session state on the stepping thread fences the
-        // shard engine first: merge() waits out all in-flight repairs, then
-        // folds the staged per-delete reports into the phase accounting in
-        // submission order (ascending global seq — bitwise the serial
-        // accumulate order, which the order-sensitive RunningStats needs).
-        auto sync_shards = [&]() {
-            if (engine_ == nullptr) return;
-            engine_->merge([&](const ShardDelta& d) {
-                stats.totals.accumulate(d.report);
-                stats.rounds.add(static_cast<double>(d.report.rounds));
-            });
-        };
         auto flush_batch = [&]() {
-            sync_shards();
             if (staged == 0) return;
             stats.totals.accumulate(session_.flush_staged());
             staged = 0;
         };
 
         auto try_insert = [&](std::size_t step) {
-            sync_shards();  // pick_neighbors / insert_node read and mutate
             auto neighbors = inserter->pick_neighbors(session_, rng_);
             if (neighbors.empty()) return false;
             // Inserted nodes land on a healed graph (replay mirrors this
@@ -389,7 +356,6 @@ RunResult ScenarioRunner::run() {
                 else want_delete = rng_.chance(fraction);
 
                 bool did_event = false;
-                sync_shards();  // the population test and pick read session state
                 if (want_delete && session_.current().node_count() > phase.min_nodes) {
                     graph::NodeId victim = deleter->pick(session_, rng_);
                     if (victim != graph::invalid_node) {
@@ -400,28 +366,14 @@ RunResult ScenarioRunner::run() {
                         event.node = victim;
                         stats.victim_degree.add(
                             static_cast<double>(session_.reference().degree(victim)));
-                        if (engine_ != nullptr) {
-                            // The repair runs on the victim's shard; the
-                            // stepping thread overlaps the hash/trace
-                            // bookkeeping below with it. The report lands in
-                            // the shard's delta list and folds into the
-                            // phase accounting at the next sync point.
-                            engine_->submit_delete(victim, phase.batch > 1);
-                            if (phase.batch > 1) {
-                                ++staged;
-                                if (staged >= phase.batch) flush_batch();
-                            }
-                        } else {
-                            auto report = phase.batch > 1
-                                              ? session_.stage_delete(victim)
-                                              : session_.delete_node(victim);
-                            if (phase.batch > 1) {
-                                ++staged;
-                                if (staged >= phase.batch) flush_batch();
-                            }
-                            stats.totals.accumulate(report);
-                            stats.rounds.add(static_cast<double>(report.rounds));
+                        auto report = phase.batch > 1 ? session_.stage_delete(victim)
+                                                      : session_.delete_node(victim);
+                        if (phase.batch > 1) {
+                            ++staged;
+                            if (staged >= phase.batch) flush_batch();
                         }
+                        stats.totals.accumulate(report);
+                        stats.rounds.add(static_cast<double>(report.rounds));
                         ++stats.deletions;
                         hasher.add(event);
                         result.events.push_back(std::move(event));
@@ -435,7 +387,6 @@ RunResult ScenarioRunner::run() {
             }
             // Slot address-space accounting, sampled before any compaction
             // so the peak reflects the waste the epoch actually reached.
-            sync_shards();  // accounting and the compact test read session state
             result.live_high_water =
                 std::max(result.live_high_water, session_.current().node_count());
             result.peak_slot_count = std::max<std::size_t>(
@@ -456,7 +407,6 @@ RunResult ScenarioRunner::run() {
                 event.phase = static_cast<std::uint32_t>(phase_index);
                 event.node =
                     static_cast<graph::NodeId>(session_.current().node_count());
-                event.shards = static_cast<std::uint32_t>(eff_shards);
                 hasher.add(event);
                 result.events.push_back(std::move(event));
                 const std::vector<graph::NodeId>& map = session_.compact();
@@ -468,11 +418,6 @@ RunResult ScenarioRunner::run() {
                 } else {
                     probe_engine_.on_compact(map);
                 }
-                // Resharding rides the epoch: the dense renumbering changed
-                // the id span, so the contiguous shard ranges re-split over
-                // the new next_id (workers are idle — flush_batch fenced).
-                if (engine_ != nullptr)
-                    engine_->reshard(session_.current().next_id());
                 ++result.compactions;
             }
             ++global_step;
@@ -496,10 +441,6 @@ RunResult ScenarioRunner::run() {
         if (use_async) loop_probe_seconds += pipeline->drain();
         result.phases.push_back(std::move(stats));
     }
-    // Join any shard workers before the final sampling reads the session
-    // (phase end already merged every staged delta into the phase stats).
-    engine_.reset();
-
     auto t1 = std::chrono::steady_clock::now();
     // Cadence samples run inside the timed loop; subtract the sampling time
     // the stepping thread itself spent (inline probes, or publish + stall

@@ -1,5 +1,7 @@
 #include "scenario/spec.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -48,16 +50,20 @@ ComponentSpec parse_component(const std::vector<std::string>& tokens, std::size_
 double parse_double(const std::string& text, const std::string& what) {
     char* end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
+    // strtod accepts "nan" and "inf", which slip past every range check
+    // downstream (NaN compares false both ways); reject them here.
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v))
         throw std::runtime_error(what + ": bad number '" + text + "'");
     return v;
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
     char* end = nullptr;
+    errno = 0;
     std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    // strtoull silently wraps negatives ("-3" -> 2^64-3); reject them.
-    if (end == text.c_str() || *end != '\0' || text[0] == '-')
+    // strtoull silently wraps negatives ("-3" -> 2^64-3) and saturates
+    // oversized values to 2^64-1; reject both.
+    if (end == text.c_str() || *end != '\0' || text[0] == '-' || errno == ERANGE)
         throw std::runtime_error(what + ": bad integer '" + text + "'");
     return v;
 }
@@ -211,7 +217,6 @@ std::string ScenarioSpec::to_text() const {
     }
     if (sample_every != 0) out << "sample_every " << sample_every << "\n";
     if (stretch_samples != 8) out << "stretch_samples " << stretch_samples << "\n";
-    if (shards != 1) out << "shards " << shards << "\n";
     for (const auto& p : phases) {
         out << "phase " << p.name << " steps=" << p.steps;
         if (p.seed.has_value()) out << " seed=" << *p.seed;
@@ -221,7 +226,6 @@ std::string ScenarioSpec::to_text() const {
         if (p.drop.has_value()) out << " drop=" << *p.drop;
         if (p.latency.has_value()) out << " latency=" << *p.latency;
         if (p.compact != 0) out << " compact=" << p.compact;
-        if (p.shards.has_value()) out << " shards=" << *p.shards;
         out << " delete_fraction=" << p.delete_fraction;
         if (p.delete_fraction_end.has_value()) out << ".." << *p.delete_fraction_end;
         out << " min_nodes=" << p.min_nodes;
@@ -282,11 +286,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         } else if (directive == "stretch_samples") {
             if (tokens.size() != 2) fail(line_no, "stretch_samples takes one integer");
             spec.stretch_samples = parse_u64_or_fail(tokens[1], "stretch_samples", line_no);
-        } else if (directive == "shards") {
-            if (tokens.size() != 2) fail(line_no, "shards takes one integer");
-            spec.shards = parse_u64_or_fail(tokens[1], "shards", line_no);
-            if (spec.shards < 1 || spec.shards > 256)
-                fail(line_no, "shards must be in [1, 256]");
         } else if (directive == "phase") {
             if (tokens.size() < 2) fail(line_no, "phase needs a name");
             PhaseSpec phase;
@@ -321,11 +320,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                     phase.compact = parse_u64_or_fail(value, "compact", line_no);
                     if (phase.compact == 1)
                         fail(line_no, "compact factor must be 0 (off) or >= 2");
-                } else if (key == "shards") {
-                    std::size_t s = parse_u64_or_fail(value, "shards", line_no);
-                    if (s < 1 || s > 256)
-                        fail(line_no, "shards must be in [1, 256]");
-                    phase.shards = s;
                 } else if (key == "delete_fraction") {
                     if (value.find("..") != std::string::npos)
                         parse_ramp(value, phase, line_no);

@@ -46,7 +46,7 @@
 //                       per-victim teardown immediately but builds the new
 //                       secondary once per batch (see PhaseSpec::batch).
 //
-// Lossy-network keys (this PR; meaningful for message-passing healers):
+// Lossy-network keys (meaningful for message-passing healers):
 //
 //   phase storm steps=30 delete_fraction=1 drop=0.1 latency=2
 //
@@ -65,22 +65,13 @@
 //                       session compacts the id space (dense renumbering)
 //                       and records a `compact` trace event. 0/absent = off.
 //
-// Sharded stepping (DESIGN.md decision 13):
-//
-//   shards 4
-//   phase churn steps=1000 delete_fraction=1 shards=8 compact=3
-//
-//   shards S          — top-level: run the stepping loop on the id-range
-//                       shard engine with S consumer shards. Results are
-//                       byte-identical at any S (trace hash, fingerprint,
-//                       metrics); only throughput characteristics change.
-//                       1/absent = serial (the exact pre-sharding path).
-//   shards=S          — per-phase override of the top-level value. The CLI
-//                       `--shards N` overrides both.
+// Numbers are strict: integers must fit in 64 bits (an oversized value is
+// an error, not a saturated 2^64-1), and reals must be finite (`nan` and
+// `inf` are rejected, since they slip past every range check).
 //
 // `to_text()` emits the same grammar, and parse(to_text()) round-trips.
-// Default-valued keys (shards included) are omitted, so specs predating a
-// key keep their content_hash.
+// Default-valued keys are omitted, so specs predating a key keep their
+// content_hash.
 #pragma once
 
 #include <cstdint>
@@ -150,9 +141,6 @@ struct PhaseSpec {
     /// 0 = off (the default — legacy specs never compact, so their traces
     /// and fingerprints are byte-identical to pre-compaction builds).
     std::size_t compact = 0;
-    /// Shard-engine width for this phase (`shards=S`, DESIGN.md decision
-    /// 13); absent = the spec-level value. Byte-identical results at any S.
-    std::optional<std::size_t> shards;
     std::size_t min_nodes = 4;  ///< never delete at or below this population
     ComponentSpec deleter{"random", {}};
     /// Non-empty = composite deleter (grammar v2 `deleter=k1:w1,k2:w2`);
@@ -197,12 +185,6 @@ struct ScenarioSpec {
     std::size_t sample_every = 0;
     /// Stretch probe sample count (paper metric is sampled-source BFS).
     std::size_t stretch_samples = 8;
-    /// Shard-engine width (`shards S`, DESIGN.md decision 13): number of
-    /// id-range shard consumers the stepping loop runs on. 1 = serial (the
-    /// exact pre-sharding code path). Per-phase `shards=` overrides this;
-    /// the CLI `--shards` overrides both. Results are byte-identical at
-    /// any value — the knob trades threads for stepping overlap only.
-    std::size_t shards = 1;
     std::vector<PhaseSpec> phases;
     std::vector<Expectation> expectations;
 

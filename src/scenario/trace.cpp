@@ -1,8 +1,10 @@
 #include "scenario/trace.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,22 +39,40 @@ std::string extract(const std::string& line, const std::string& key, std::size_t
     return line.substr(start, end - start);
 }
 
-std::uint64_t extract_u64(const std::string& line, const std::string& key,
-                          std::size_t line_no) {
-    std::string text = extract(line, key, line_no);
+/// Checked parse of one numeric token: the whole of `text` must be an
+/// unsigned number in `base` no larger than `max`. strtoull alone would
+/// accept a sign, leading blanks and a trailing suffix ("65xyz"), and
+/// saturates out-of-range values.
+std::uint64_t parse_number(const std::string& text, const std::string& key,
+                           std::size_t line_no, std::uint64_t max, int base = 10) {
+    auto bad = [&]() { fail(line_no, "bad number for '" + key + "': " + text); };
+    if (text.empty() || text[0] < '0' || text[0] > '9') bad();
+    errno = 0;
     char* end = nullptr;
-    // Hex hashes are written as quoted "0x..." strings; base 0 handles both.
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str()) fail(line_no, "bad number for '" + key + "': " + text);
+    std::uint64_t v = std::strtoull(text.c_str(), &end, base);
+    if (end != text.c_str() + text.size() || errno == ERANGE) bad();
+    if (v > max) fail(line_no, "number out of range for '" + key + "': " + text);
     return v;
 }
 
-/// Optional-key variant for fields written only when non-default (the
-/// compact record's `shards`); absent keys read as `fallback`.
-std::uint64_t extract_u64_or(const std::string& line, const std::string& key,
-                             std::size_t line_no, std::uint64_t fallback) {
-    if (line.find("\"" + key + "\":") == std::string::npos) return fallback;
-    return extract_u64(line, key, line_no);
+constexpr std::uint64_t u32_max = std::numeric_limits<std::uint32_t>::max();
+
+std::uint64_t extract_u64(const std::string& line, const std::string& key,
+                          std::size_t line_no,
+                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max(),
+                          int base = 10) {
+    return parse_number(extract(line, key, line_no), key, line_no, max, base);
+}
+
+/// Hashes are written as quoted "0x..." strings.
+std::uint64_t extract_hash(const std::string& line, const std::string& key,
+                           std::size_t line_no) {
+    return extract_u64(line, key, line_no, std::numeric_limits<std::uint64_t>::max(), 16);
+}
+
+std::uint32_t extract_u32(const std::string& line, const std::string& key,
+                          std::size_t line_no) {
+    return static_cast<std::uint32_t>(extract_u64(line, key, line_no, u32_max));
 }
 
 }  // namespace
@@ -71,9 +91,6 @@ void TraceHasher::mix(std::uint64_t word) {
 }
 
 void TraceHasher::add(const TraceEvent& event) {
-    // event.shards is deliberately NOT mixed: the shard count is an
-    // execution-engine knob, and shards=S must hash identically to
-    // shards=1 (DESIGN.md decision 13).
     switch (event.kind) {
         case TraceEvent::Kind::insert: mix(1); break;
         case TraceEvent::Kind::remove: mix(2); break;
@@ -119,9 +136,7 @@ std::string event_to_json(const TraceEvent& e) {
         out << "]}";
     } else if (e.kind == TraceEvent::Kind::compact) {
         out << "{\"type\":\"compact\",\"step\":" << e.step << ",\"phase\":" << e.phase
-            << ",\"live\":" << e.node;
-        if (e.shards != 1) out << ",\"shards\":" << e.shards;
-        out << "}";
+            << ",\"live\":" << e.node << "}";
     } else {
         out << "{\"type\":\"delete\",\"step\":" << e.step << ",\"phase\":" << e.phase
             << ",\"node\":" << e.node << "}";
@@ -157,23 +172,22 @@ Trace read_trace(std::istream& in) {
         if (type == "header") {
             trace.scenario = extract(line, "scenario", line_no);
             trace.seed = extract_u64(line, "seed", line_no);
-            trace.spec_hash = extract_u64(line, "spec_hash", line_no);
+            trace.spec_hash = extract_hash(line, "spec_hash", line_no);
             saw_header = true;
         } else if (type == "insert" || type == "delete") {
             if (saw_end) fail(line_no, "event after end record");
             TraceEvent e;
             e.kind = type == "insert" ? TraceEvent::Kind::insert : TraceEvent::Kind::remove;
             e.step = extract_u64(line, "step", line_no);
-            e.phase = static_cast<std::uint32_t>(extract_u64(line, "phase", line_no));
-            e.node = static_cast<graph::NodeId>(extract_u64(line, "node", line_no));
+            e.phase = extract_u32(line, "phase", line_no);
+            e.node = extract_u32(line, "node", line_no);
             if (e.kind == TraceEvent::Kind::insert) {
                 std::string list = extract(line, "neighbors", line_no);
                 std::istringstream items(list);
                 std::string item;
                 while (std::getline(items, item, ','))
-                    if (!item.empty())
-                        e.neighbors.push_back(
-                            static_cast<graph::NodeId>(std::strtoull(item.c_str(), nullptr, 10)));
+                    e.neighbors.push_back(static_cast<graph::NodeId>(
+                        parse_number(item, "neighbors", line_no, u32_max)));
             }
             trace.events.push_back(std::move(e));
         } else if (type == "compact") {
@@ -181,17 +195,16 @@ Trace read_trace(std::istream& in) {
             TraceEvent e;
             e.kind = TraceEvent::Kind::compact;
             e.step = extract_u64(line, "step", line_no);
-            e.phase = static_cast<std::uint32_t>(extract_u64(line, "phase", line_no));
-            e.node = static_cast<graph::NodeId>(extract_u64(line, "live", line_no));
-            e.shards = static_cast<std::uint32_t>(extract_u64_or(line, "shards", line_no, 1));
+            e.phase = extract_u32(line, "phase", line_no);
+            e.node = extract_u32(line, "live", line_no);
             trace.events.push_back(std::move(e));
         } else if (type == "end") {
             std::uint64_t events = extract_u64(line, "events", line_no);
             if (events != trace.events.size())
                 fail(line_no, "event count mismatch: end says " + std::to_string(events) +
                                   ", read " + std::to_string(trace.events.size()));
-            trace.trace_hash = extract_u64(line, "trace_hash", line_no);
-            trace.fingerprint = extract_u64(line, "fingerprint", line_no);
+            trace.trace_hash = extract_hash(line, "trace_hash", line_no);
+            trace.fingerprint = extract_hash(line, "fingerprint", line_no);
             saw_end = true;
         } else {
             fail(line_no, "unknown record type '" + type + "'");

@@ -12,7 +12,6 @@
 //   {"type":"insert","step":3,"phase":0,"node":65,"neighbors":[2,9,41]}
 //   {"type":"delete","step":4,"phase":0,"node":17}
 //   {"type":"compact","step":7,"phase":1,"live":48}
-//   {"type":"compact","step":9,"phase":1,"live":40,"shards":4}
 //   {"type":"end","events":96,"trace_hash":"0x...","fingerprint":"0x..."}
 //
 // A compact record marks an id-compaction epoch boundary (DESIGN.md decision
@@ -20,10 +19,13 @@
 // in subsequent events are in the NEW numbering; `live` (stored in
 // TraceEvent::node) is the live-node count — i.e. next_id after the remap —
 // which replay re-derives and checks before compacting its own session.
-// `shards` (DESIGN.md decision 13) records the shard-engine width that
-// closed the epoch; it is omitted when 1 (so pre-sharding traces are
-// unchanged byte-for-byte) and excluded from the trace hash (so shard
-// counts replay interchangeably).
+// The reader ignores keys it does not know, so older compact lines that
+// carry extra engine metadata still read and hash as before.
+//
+// Numbers are strict: every numeric field must be a whole unsigned decimal
+// token (hashes: a quoted "0x..." hex string) that fits its field —
+// `step` in 64 bits; `phase`, `node`, `live` and each `neighbors` item in
+// 32 bits. Anything else is a malformed-file error naming the line.
 #pragma once
 
 #include <cstdint>
@@ -42,12 +44,6 @@ struct TraceEvent {
     std::uint32_t phase = 0;  ///< index into the spec's phase list
     graph::NodeId node = graph::invalid_node;  ///< compact: live-node count
     std::vector<graph::NodeId> neighbors;  ///< insert only: attach set
-    /// Compact only: shard count of the engine that closed the epoch
-    /// (DESIGN.md decision 13). Serialized as `"shards":S` only when != 1,
-    /// so pre-sharding goldens stay byte-identical, and deliberately
-    /// EXCLUDED from TraceHasher — shards=S and shards=1 runs of one spec
-    /// hash identically, which is the determinism contract itself.
-    std::uint32_t shards = 1;
 
     friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };

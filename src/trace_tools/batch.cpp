@@ -17,7 +17,6 @@ BatchOutcome run_one(const BatchJob& job) {
     try {
         scenario::ScenarioRunner runner(job.spec);
         runner.set_probe_mode(job.probe_mode);
-        if (job.shards != 0) runner.set_shards(job.shards);
         scenario::RunResult result = runner.run();
         out.pass = result.passed();
         out.steps = result.steps_done;
@@ -33,7 +32,6 @@ BatchOutcome run_one(const BatchJob& job) {
         out.messages = result.final_sample.messages;
         out.rounds = result.final_sample.rounds;
         out.retries = result.final_sample.retries;
-        out.shards = result.shards;
         out.failures = result.failures;
     } catch (const std::exception& e) {
         out.errored = true;

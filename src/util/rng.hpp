@@ -16,18 +16,6 @@
 
 namespace xheal::util {
 
-/// splitmix64 finalizer: the stateless seed-derivation mix used wherever a
-/// decorrelated stream must be derived from a master seed plus a salt
-/// (per-shard rng streams, DESIGN.md decision 13). Unlike Rng::split()
-/// this consumes nothing from any engine, so derived seeds are a pure
-/// function of (seed, salt) and never perturb the master draw sequence.
-inline std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 class Rng {
 public:
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed), seed_(seed) {}

@@ -44,6 +44,19 @@ phase finale steps=25 delete_fraction=1 deleter=max-degree batch=64 min_nodes=24
 )");
 }
 
+/// Small batches (batch=4) under id-compaction: the epoch close must land
+/// on a flushed batch.
+ScenarioSpec batched_compacting_spec() {
+    return ScenarioSpec::parse(R"(
+name batch-compact-churn
+seed 29
+topology random-regular n=64 d=4
+healer xheal d=2
+phase churn steps=120 delete_fraction=0.7 batch=4 deleter=random inserter=random-attach k=3 min_nodes=24 compact=3
+expect connected
+)");
+}
+
 }  // namespace
 
 TEST(BatchAdversary, BatchKeyRoundTripsThroughSpecText) {
@@ -82,25 +95,30 @@ TEST(BatchAdversary, BatchedRunIsDeterministic) {
 }
 
 TEST(BatchAdversary, BatchedTraceReplaysByteForByte) {
-    auto spec = batched_spec();
-    auto recorded = ScenarioRunner(spec).run();
-    auto trace = recorded.to_trace(spec);
+    for (const ScenarioSpec& spec : {batched_spec(), batched_compacting_spec()}) {
+        SCOPED_TRACE(spec.name);
+        auto recorded = ScenarioRunner(spec).run();
+        auto trace = recorded.to_trace(spec);
 
-    // Serialize + parse the JSONL in between, as xheal_run replay does.
-    std::stringstream io;
-    scenario::write_trace(io, trace);
-    auto loaded = scenario::read_trace(io);
-    EXPECT_EQ(loaded.trace_hash, recorded.trace_hash);
+        // Serialize + parse the JSONL in between, as xheal_run replay does.
+        std::stringstream io;
+        scenario::write_trace(io, trace);
+        auto loaded = scenario::read_trace(io);
+        EXPECT_EQ(loaded.trace_hash, recorded.trace_hash);
 
-    auto replayed = ScenarioRunner(spec).replay(loaded);
-    EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);
-    EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
-    // Replay re-derives the per-phase accounting from the event stream.
-    ASSERT_EQ(replayed.phases.size(), recorded.phases.size());
-    for (std::size_t i = 0; i < recorded.phases.size(); ++i) {
-        EXPECT_EQ(replayed.phases[i].deletions, recorded.phases[i].deletions) << i;
-        EXPECT_EQ(replayed.phases[i].insertions, recorded.phases[i].insertions) << i;
+        auto replayed = ScenarioRunner(spec).replay(loaded);
+        EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);
+        EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
+        EXPECT_EQ(replayed.compactions, recorded.compactions);
+        // Replay re-derives the per-phase accounting from the event stream.
+        ASSERT_EQ(replayed.phases.size(), recorded.phases.size());
+        for (std::size_t i = 0; i < recorded.phases.size(); ++i) {
+            EXPECT_EQ(replayed.phases[i].deletions, recorded.phases[i].deletions) << i;
+            EXPECT_EQ(replayed.phases[i].insertions, recorded.phases[i].insertions) << i;
+        }
     }
+    EXPECT_GE(ScenarioRunner(batched_compacting_spec()).run().compactions, 1u)
+        << "the batch=4 input never crossed an epoch boundary";
 }
 
 TEST(BatchAdversary, ExplicitBatchOneMatchesUnbatchedSemantics) {

@@ -8,6 +8,8 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,11 +23,19 @@ using namespace xheal;
 
 namespace {
 
-/// Run the binary with `args`, discarding output; returns the exit code
-/// (or -1 when the process did not exit normally).
-int run_cli(const std::string& args) {
-    std::string command = std::string(XHEAL_RUN_BIN) + " " + args + " > /dev/null 2>&1";
+std::string slurp(const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+/// Run the binary with `args`; returns the exit code (or -1 when the
+/// process did not exit normally). Output is discarded unless `output` is
+/// given, which then receives stdout and stderr combined.
+int run_cli(const std::string& args, std::string* output = nullptr) {
+    std::string sink = output ? testing::TempDir() + "cli_output.txt" : "/dev/null";
+    std::string command = std::string(XHEAL_RUN_BIN) + " " + args + " > " + sink + " 2>&1";
     int status = std::system(command.c_str());
+    if (output) *output = slurp(sink);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
@@ -88,6 +98,44 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run " + fail_scn_), 1);          // expectation FAIL
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
+
+    // The v6 run report: pinned schema, no engine-width field.
+    std::string json = testing::TempDir() + "cli_run.json";
+    EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + json), 0);
+    std::string body = slurp(json);
+    EXPECT_NE(body.find("\"schema\": \"xheal-bench-scenarios-v6\""), std::string::npos);
+    EXPECT_EQ(body.find("shards"), std::string::npos);
+}
+
+TEST_F(CliContract, MalformedSpecsExitTwoWithTheirLineNumber) {
+    // Removed grammar, oversized integers and non-finite reals are parse
+    // errors, reported with the offending line.
+    const std::string spec = kPassingSpec;
+    const std::string phase_line = "phase churn steps=12 ";
+    auto with = [&](const std::string& name, const std::string& from, const std::string& to) {
+        std::string text = spec;
+        text.replace(text.find(from), from.size(), to);
+        return write_file(name, text);
+    };
+    struct Case {
+        std::string path, line;
+    };
+    const Case cases[] = {
+        {with("cli_shards.scn", "seed 5\n", "seed 5\nshards 4\n"), "spec line 3"},
+        {with("cli_phase_shards.scn", phase_line, phase_line + "shards=2 "), "spec line 5"},
+        {with("cli_huge_seed.scn", "seed 5", "seed 99999999999999999999999"), "spec line 2"},
+        {with("cli_huge_steps.scn", "steps=12", "steps=99999999999999999999999"),
+         "spec line 5"},
+        {with("cli_nan_drop.scn", phase_line, phase_line + "drop=nan "), "spec line 5"},
+        {with("cli_inf_mix.scn", "deleter=random", "deleter=random:inf,max-degree:1"),
+         "spec line 5"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.path);
+        std::string output;
+        EXPECT_EQ(run_cli("run " + c.path, &output), 2);
+        EXPECT_NE(output.find(c.line), std::string::npos) << output;
+    }
 }
 
 TEST_F(CliContract, PrintAndListExitCodes) {
@@ -107,6 +155,40 @@ TEST_F(CliContract, ReplayExitCodes) {
     std::string tampered = testing::TempDir() + "cli_tampered.jsonl";
     scenario::write_trace_file(tampered, trace);
     EXPECT_EQ(run_cli("replay " + pass_scn_ + " " + tampered), 1);
+
+    // Malformed numbers in an insert line are file errors, not verdicts:
+    // a suffixed node id, a node id past 32 bits (which would truncate to
+    // the recorded id and replay as PASS), and a non-numeric neighbor
+    // (which would read as node 0 and replay as FAIL).
+    trace = scenario::read_trace_file(trace_path_);
+    auto insert = std::find_if(trace.events.begin(), trace.events.end(), [](const auto& e) {
+        return e.kind == scenario::TraceEvent::Kind::insert;
+    });
+    ASSERT_NE(insert, trace.events.end());
+    const std::string line = scenario::event_to_json(*insert);
+    const std::string text = slurp(trace_path_);
+    const std::size_t line_no = 2 + static_cast<std::size_t>(insert - trace.events.begin());
+    const std::string node = "\"node\":" + std::to_string(insert->node);
+    auto mutated = [&](const std::string& name, const std::string& from, const std::string& to) {
+        std::string bad_line = line;
+        bad_line.replace(bad_line.find(from), from.size(), to);
+        std::string bad = text;
+        bad.replace(bad.find(line), line.size(), bad_line);
+        return write_file(name, bad);
+    };
+    const std::string bad_traces[] = {
+        mutated("cli_node_suffix.jsonl", node, node + "xyz"),
+        mutated("cli_node_wide.jsonl", node,
+                "\"node\":" + std::to_string(insert->node + (std::uint64_t{1} << 32))),
+        mutated("cli_neighbor_junk.jsonl", "\"neighbors\":[", "\"neighbors\":[zz,"),
+    };
+    for (const std::string& bad : bad_traces) {
+        SCOPED_TRACE(bad);
+        std::string output;
+        EXPECT_EQ(run_cli("replay " + pass_scn_ + " " + bad, &output), 2);
+        EXPECT_NE(output.find("trace line " + std::to_string(line_no)), std::string::npos)
+            << output;
+    }
 }
 
 TEST_F(CliContract, DiffExitCodes) {
@@ -132,10 +214,9 @@ TEST_F(CliContract, BatchExitCodes) {
     std::ofstream(dir + "/only.scn") << kPassingSpec;
     std::string json = testing::TempDir() + "cli_batch.json";
     EXPECT_EQ(run_cli("batch " + dir + " --json " + json), 0);
-    std::ifstream report(json);
-    std::string body((std::istreambuf_iterator<char>(report)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v4\""), std::string::npos);
+    std::string body = slurp(json);
+    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v5\""), std::string::npos);
+    EXPECT_EQ(body.find("shards"), std::string::npos);
     EXPECT_NE(body.find("\"jobs\": 1"), std::string::npos);
     EXPECT_NE(body.find("\"trace_hash\""), std::string::npos);
     // v3 billing columns are always present (0 for local healers).

@@ -252,7 +252,9 @@ TEST(CompactionScenario, DoubleRunTraceHashesAreIdentical) {
 TEST(CompactionScenario, ReplayReproducesAcrossCompactionBoundaries) {
     auto s = compact_churn_spec();
     auto recorded = ScenarioRunner(s).run();
-    ASSERT_GE(recorded.compactions, 1u);
+    // compact=2 on a 40-node graph closes several epochs per run, so ids
+    // are renumbered again after already-renumbered events.
+    ASSERT_GE(recorded.compactions, 3u);
     auto trace = recorded.to_trace(s);
     auto replayed = ScenarioRunner(s).replay(trace);
     EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);

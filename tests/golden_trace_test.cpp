@@ -18,6 +18,7 @@
 // suite failing wholesale means stream divergence, not format drift.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "scenario/runner.hpp"
@@ -97,3 +98,28 @@ INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTrace, ::testing::ValuesIn(kCorpus),
                                  if (c == '-') c = '_';
                              return name;
                          });
+
+// Traces recorded while the stepping loop could run on an id-range shard
+// engine carry `"shards":S` on their compact lines. The reader ignores the
+// key, so such a line reads and hashes exactly like the line without it.
+TEST(GoldenTraceCompat, CompactLineWithALegacyShardsKeyReadsAndHashesAlike) {
+    auto read = [](const std::string& compact_line) {
+        std::stringstream in(
+            R"({"type":"header","scenario":"x","seed":1,"spec_hash":"0x0"})" "\n" +
+            compact_line + "\n" +
+            R"({"type":"end","events":1,"trace_hash":"0x0","fingerprint":"0x0"})" "\n");
+        return scenario::read_trace(in);
+    };
+    auto legacy = read(R"({"type":"compact","step":9,"phase":1,"live":40,"shards":4})");
+    auto plain = read(R"({"type":"compact","step":9,"phase":1,"live":40})");
+    ASSERT_EQ(legacy.events.size(), 1u);
+    EXPECT_EQ(legacy.events, plain.events);
+    EXPECT_EQ(legacy.events[0].node, 40u);
+    scenario::TraceHasher legacy_hash, plain_hash;
+    legacy_hash.add(legacy.events[0]);
+    plain_hash.add(plain.events[0]);
+    EXPECT_EQ(legacy_hash.value(), plain_hash.value());
+    // Re-serialized, the legacy line is the plain one.
+    EXPECT_EQ(scenario::event_to_json(legacy.events[0]),
+              R"({"type":"compact","step":9,"phase":1,"live":40})");
+}

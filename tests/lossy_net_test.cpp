@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -96,16 +97,27 @@ TEST(LossyNet, PinnedBillingForKnownSchedule) {
 TEST(LossyNet, ReplayReproducesTheBill) {
     // Replaying the recorded event stream re-executes the protocol with the
     // phase fault model applied at the same boundaries: hashes AND billing
-    // must match the recording run.
-    auto spec = dist_spec("drop=0.1 latency=2");
-    auto recorded = ScenarioRunner(spec).run();
-    auto trace = recorded.to_trace(spec);
-    auto replayed = ScenarioRunner(spec).replay(trace);
-    EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);
-    EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
-    EXPECT_EQ(replayed.final_sample.messages, recorded.final_sample.messages);
-    EXPECT_EQ(replayed.final_sample.rounds, recorded.final_sample.rounds);
-    EXPECT_EQ(replayed.final_sample.retries, recorded.final_sample.retries);
+    // must match the recording run. Inputs: the lossy twin, plus every
+    // tournament-pack healer (xheal-dist among them, with a non-zero bill;
+    // the others bill 0 and must still replay byte-for-byte).
+    std::vector<ScenarioSpec> specs = {dist_spec("drop=0.1 latency=2")};
+    for (const char* file : {"cycle.scn", "forgiving_tree.scn", "no_heal.scn",
+                             "random_match.scn", "xheal.scn", "xheal_dist.scn"})
+        specs.push_back(ScenarioSpec::parse_file(
+            std::string(XHEAL_REPO_DIR) + "/scenarios/packs/tournament/" + file));
+    for (const ScenarioSpec& spec : specs) {
+        SCOPED_TRACE(spec.name);
+        auto recorded = ScenarioRunner(spec).run();
+        auto trace = recorded.to_trace(spec);
+        auto replayed = ScenarioRunner(spec).replay(trace);
+        EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);
+        EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
+        EXPECT_EQ(replayed.final_sample.messages, recorded.final_sample.messages);
+        EXPECT_EQ(replayed.final_sample.rounds, recorded.final_sample.rounds);
+        EXPECT_EQ(replayed.final_sample.retries, recorded.final_sample.retries);
+        if (spec.healer.kind == "xheal-dist")
+            EXPECT_GT(recorded.final_sample.messages, 0u);
+    }
 }
 
 TEST(LossyNet, PhaseFaultKeysOverridePerPhase) {

@@ -269,6 +269,51 @@ TEST(ScenarioTrace, RejectsCorruptTraces) {
     EXPECT_THROW(scenario::read_trace(bad_count), std::runtime_error);
 }
 
+TEST(ScenarioTrace, RejectsMalformedNumbersWithTheirLineNumber) {
+    // Every numeric field is parsed whole and range-checked against the
+    // field it lands in; a bad token is a malformed-file error at its line,
+    // never a silently truncated or defaulted id.
+    const std::string header =
+        R"({"type":"header","scenario":"x","seed":1,"spec_hash":"0x0"})" "\n";
+    const std::string end =
+        R"({"type":"end","events":1,"trace_hash":"0x0","fingerprint":"0x0"})" "\n";
+    auto expect_rejected = [&](const std::string& event, const std::string& fragment) {
+        std::stringstream in(header + event + "\n" + end);
+        try {
+            scenario::read_trace(in);
+            ADD_FAILURE() << "accepted malformed event: " << event;
+        } catch (const std::runtime_error& e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("trace line 2"), std::string::npos) << what;
+            EXPECT_NE(what.find(fragment), std::string::npos) << what;
+        }
+    };
+    expect_rejected(R"({"type":"delete","step":4,"phase":0,"node":65xyz})", "65xyz");
+    expect_rejected(R"({"type":"delete","step":4,"phase":0,"node":4294967361})",
+                    "4294967361");
+    expect_rejected(R"({"type":"delete","step":4,"phase":4294967296,"node":3})", "phase");
+    expect_rejected(R"({"type":"delete","step":4,"phase":0,"node":-1})", "-1");
+    expect_rejected(R"({"type":"delete","step":4,"phase":0,"node":})", "node");
+    expect_rejected(R"({"type":"delete","step":99999999999999999999,"phase":0,"node":3})",
+                    "step");
+    expect_rejected(R"({"type":"insert","step":4,"phase":0,"node":9,"neighbors":[1,zz]})",
+                    "zz");
+    expect_rejected(R"({"type":"insert","step":4,"phase":0,"node":9,"neighbors":[1,,2]})",
+                    "neighbors");
+    expect_rejected(R"({"type":"insert","step":4,"phase":0,"node":9,"neighbors":[4294967296]})",
+                    "4294967296");
+    expect_rejected(R"({"type":"compact","step":4,"phase":0,"live":4294967296})", "live");
+
+    // The widest in-range values still read.
+    std::stringstream ok(header +
+                         R"({"type":"insert","step":18446744073709551615,"phase":4294967295,)"
+                         R"("node":4294967295,"neighbors":[0,4294967295]})" "\n" + end);
+    auto trace = scenario::read_trace(ok);
+    ASSERT_EQ(trace.events.size(), 1u);
+    EXPECT_EQ(trace.events[0].step, 18446744073709551615ull);
+    EXPECT_EQ(trace.events[0].neighbors, (std::vector<graph::NodeId>{0, 4294967295u}));
+}
+
 TEST(ScenarioRunnerV2, InsertBurstLeadsEveryStep) {
     // insert_burst forced arrivals are extra events on top of the regular
     // burst budget, recorded in the trace like any insert.

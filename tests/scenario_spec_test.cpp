@@ -232,6 +232,42 @@ TEST(ScenarioSpecV2, RejectsMalformedRampsAndMixtures) {
     expect_rejects(prologue + "phase p steps=1 seed=lots\n", "lots");
 }
 
+TEST(ScenarioSpec, RemovedShardKeysAreUnknownWithTheirLineNumber) {
+    // The stepping loop is serial only; the old engine-width directive and
+    // phase key are plain unknown grammar now, reported at their line.
+    const std::string prologue = "topology star\nhealer xheal\n";
+    expect_rejects(prologue + "shards 4\nphase p steps=1\n",
+                   "spec line 3: unknown directive 'shards'");
+    expect_rejects(prologue + "phase a steps=1\nphase b steps=1 shards=2\n",
+                   "spec line 4: unknown phase key 'shards'");
+}
+
+TEST(ScenarioSpec, NumbersAreStrict) {
+    const std::string prologue = "topology star\nhealer xheal\n";
+    // Integers past 2^64-1 are errors, not a saturated 2^64-1 (an oversized
+    // steps= would otherwise run forever).
+    const std::string huge = "99999999999999999999999";
+    expect_rejects("seed " + huge + "\n" + prologue + "phase p steps=1\n", huge);
+    expect_rejects(prologue + "phase p steps=" + huge + "\n", "spec line 3");
+    expect_rejects(prologue + "phase p steps=1 seed=" + huge + "\n", huge);
+    expect_rejects(prologue + "phase p steps=1 latency=" + huge + "\n", huge);
+    // ...while the largest u64 itself still parses.
+    auto max_seed = ScenarioSpec::parse("seed 18446744073709551615\n" + prologue +
+                                        "phase p steps=1\n");
+    EXPECT_EQ(max_seed.seed, 18446744073709551615ull);
+
+    // NaN and infinity slip past every range check, so the parser refuses
+    // them outright wherever it reads a real.
+    expect_rejects(prologue + "phase p steps=1 deleter=random:inf,max-degree:1\n", "inf");
+    expect_rejects(prologue + "phase p steps=1 drop=nan\n", "nan");
+    expect_rejects(prologue + "phase p steps=1 delete_fraction=nan..1\n", "nan");
+    expect_rejects(prologue + "phase p steps=1 delete_fraction=0..inf\n", "inf");
+    expect_rejects(prologue + "phase p steps=1 delete_fraction=-inf\n", "-inf");
+    expect_rejects(prologue + "phase p steps=1\nexpect lambda2 >= nan\n", "spec line 4");
+    ComponentSpec c{"x", {{"p", "infinity"}}};
+    EXPECT_THROW(c.get_double("p", 0.0), std::runtime_error);
+}
+
 TEST(ScenarioRegistryV2, PhaseDeleterFactoryBuildsSinglesAndMixtures) {
     scenario::PhaseSpec single;
     single.deleter.kind = "max-degree";

@@ -1,7 +1,7 @@
 // xheal_run — the one CLI driver for declarative scenarios.
 //
 //   xheal_run run <spec.scn> [more specs...] [--trace FILE] [--json FILE]
-//             [--max-steps N] [--probe-mode auto|inline|async] [--shards N]
+//             [--max-steps N] [--probe-mode auto|inline|async]
 //       Execute each spec's phase schedule; print per-phase accounting, the
 //       sampled metric series, and a greppable "VERDICT scenario-<name>
 //       PASS|FAIL" line per spec (FAIL when an `expect` clause is violated).
@@ -11,11 +11,9 @@
 //       smoke runs of large specs such as dex_scale.scn); --probe-mode
 //       forces the metric-probe schedule (auto = off-thread pipeline when
 //       cadence sampling carries heavy probes; probe values are identical
-//       across modes, only timing differs); --shards overrides the spec's
-//       shard-engine width (DESIGN.md decision 13 — results are
-//       byte-identical at any width, only throughput changes).
+//       across modes, only timing differs).
 //   xheal_run batch <dir> [--healer KIND] [--json FILE] [--max-steps N]
-//             [--jobs N] [--probe-mode auto|inline|async] [--shards N]
+//             [--jobs N] [--probe-mode auto|inline|async]
 //       Run every *.scn in <dir> (sorted by filename, so reports are
 //       deterministic) and emit one aggregated JSON report: per-spec
 //       verdict, stream hash, final-graph fingerprint, stepping and probe
@@ -77,10 +75,9 @@ namespace {
 int usage() {
     std::cerr << "usage:\n"
               << "  xheal_run run <spec.scn>... [--trace FILE] [--json FILE] "
-                 "[--max-steps N] [--probe-mode auto|inline|async] [--shards N]\n"
+                 "[--max-steps N] [--probe-mode auto|inline|async]\n"
               << "  xheal_run batch <dir> [--healer KIND] [--json FILE] "
-                 "[--max-steps N] [--jobs N] [--probe-mode auto|inline|async] "
-                 "[--shards N]\n"
+                 "[--max-steps N] [--jobs N] [--probe-mode auto|inline|async]\n"
               << "  xheal_run replay <spec.scn> <trace.jsonl>\n"
               << "  xheal_run print <spec.scn>\n"
               << "  xheal_run list\n"
@@ -189,32 +186,26 @@ struct JsonRow {
     std::size_t messages = 0;
     std::size_t rounds = 0;
     std::size_t retries = 0;
-    std::size_t shards = 1;
     bool pass = false;
 };
 
-/// xheal-bench-scenarios-v5: v4 plus the per-row "shards" field (effective
-/// shard-engine width the row ran on — floor consumers enforce timing
-/// like-for-like against same-width baselines; deterministic fields are
-/// width-independent). v4 added the distributed-protocol billing columns
-/// (deletions, messages, rounds, retries — cumulative, deterministic, 0 for
-/// non-message-passing healers); Theorem 5 floors divide messages and
-/// rounds by deletions. Readers treat a missing "shards" as 1.
+/// xheal-bench-scenarios-v6: v5 minus its per-row engine-width field
+/// (every run steps serially now). v4 added the distributed-protocol
+/// billing columns (deletions, messages, rounds, retries — cumulative,
+/// deterministic, 0 for non-message-passing healers); Theorem 5 floors
+/// divide messages and rounds by deletions.
 int write_json(const std::string& path, const std::vector<JsonRow>& rows) {
     std::ofstream out(path);
     if (!out) {
         std::cerr << "cannot open " << path << "\n";
         return 1;
     }
-    out << "{\n  \"schema\": \"xheal-bench-scenarios-v5\",\n"
+    out << "{\n  \"schema\": \"xheal-bench-scenarios-v6\",\n"
         << "  \"note\": \"scenario engine throughput (adversary+healer steps/sec), "
            "probe cost (seconds spent in metric probes, ms per sample), and "
            "distributed-protocol billing (messages/rounds/retries, cumulative; 0 "
            "for local healers) per bundled spec; probe_stall_seconds is stepping "
-           "time blocked on the async probe worker (0 when probing inline); "
-           "shards is the shard-engine width the run stepped on (1 = the serial "
-           "path — deterministic fields are byte-identical at any width, only "
-           "the timing profile moves)\",\n"
+           "time blocked on the async probe worker (0 when probing inline)\",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         double probe_ms_per_sample =
@@ -238,7 +229,6 @@ int write_json(const std::string& path, const std::vector<JsonRow>& rows) {
             << ", \"messages\": " << rows[i].messages
             << ", \"rounds\": " << rows[i].rounds
             << ", \"retries\": " << rows[i].retries
-            << ", \"shards\": " << rows[i].shards
             << ", \"pass\": " << (rows[i].pass ? "true" : "false") << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -264,7 +254,6 @@ int cmd_run(const std::vector<std::string>& args) {
     std::vector<std::string> spec_paths;
     std::string trace_path, json_path;
     std::size_t max_steps = 0;  // 0 = unlimited
-    std::size_t shards = 0;     // 0 = follow the spec
     scenario::ProbeMode probe_mode = scenario::ProbeMode::automatic;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--trace") {
@@ -287,13 +276,6 @@ int cmd_run(const std::vector<std::string>& args) {
                           << args[i] << "'\n";
                 return 2;
             }
-        } else if (args[i] == "--shards") {
-            if (++i >= args.size()) return usage();
-            if (!parse_count(args[i], shards) || shards == 0 || shards > 256) {
-                std::cerr << "--shards needs an integer in [1, 256], got '"
-                          << args[i] << "'\n";
-                return 2;
-            }
         } else {
             spec_paths.push_back(args[i]);
         }
@@ -311,7 +293,6 @@ int cmd_run(const std::vector<std::string>& args) {
         truncate_schedule(spec, max_steps);
         scenario::ScenarioRunner runner(spec);
         runner.set_probe_mode(probe_mode);
-        if (shards != 0) runner.set_shards(shards);
         auto result = runner.run();
 
         std::cout << "scenario " << spec.name << " (seed " << spec.seed << ", healer "
@@ -343,8 +324,7 @@ int cmd_run(const std::vector<std::string>& args) {
                              result.final_sample.deletions,
                              result.final_sample.messages,
                              result.final_sample.rounds,
-                             result.final_sample.retries, result.shards,
-                             result.passed()});
+                             result.final_sample.retries, result.passed()});
     }
     if (!json_path.empty() && write_json(json_path, json_rows) != 0) return 1;
     return all_pass ? 0 : 1;
@@ -359,11 +339,8 @@ std::string json_escape(const std::string& text) {
     return out;
 }
 
-/// xheal-batch-v4: v3 plus the per-row "shards" field (effective
-/// shard-engine width the row ran on — row-level because a batch can mix
-/// widths via per-spec `shards` lines; floor consumers enforce timing
-/// like-for-like against same-width baselines, readers treat a missing
-/// "shards" as 1). v3 added the per-row distributed-protocol billing
+/// xheal-batch-v5: v4 minus its per-row engine-width field (every run
+/// steps serially now). v3 added the per-row distributed-protocol billing
 /// columns (deletions, messages, rounds, retries — deterministic,
 /// byte-stable across jobs values; 0 for non-message-passing healers). v2
 /// added the report-level "jobs" field (worker pool size) and per-row
@@ -376,11 +353,11 @@ int write_batch_json(const std::string& path, const std::string& dir,
         std::cerr << "cannot open " << path << "\n";
         return 1;
     }
-    out << "{\n  \"schema\": \"xheal-batch-v4\",\n"
+    out << "{\n  \"schema\": \"xheal-batch-v5\",\n"
         << "  \"note\": \"aggregated batch report: per-spec verdict, deterministic "
            "stream hash + final-graph fingerprint, and stepping/probe throughput; "
-           "hashes and verdicts are reproducible bit-for-bit at any jobs count "
-           "and any shards width, timing fields are not\",\n"
+           "hashes and verdicts are reproducible bit-for-bit at any jobs count, "
+           "timing fields are not\",\n"
         << "  \"dir\": \"" << json_escape(dir) << "\",\n"
         << "  \"healer_override\": \"" << json_escape(healer_override) << "\",\n"
         << "  \"jobs\": " << jobs << ",\n"
@@ -407,7 +384,6 @@ int write_batch_json(const std::string& path, const std::string& dir,
             << ", \"messages\": " << r.messages
             << ", \"rounds\": " << r.rounds
             << ", \"retries\": " << r.retries
-            << ", \"shards\": " << r.shards
             << ", \"failures\": [";
         for (std::size_t f = 0; f < r.failures.size(); ++f)
             out << (f == 0 ? "" : ", ") << "\"" << json_escape(r.failures[f]) << "\"";
@@ -422,7 +398,6 @@ int cmd_batch(const std::vector<std::string>& args) {
     std::string dir, json_path, healer_override;
     std::size_t max_steps = 0;
     std::size_t jobs = 1;
-    std::size_t shards = 0;  // 0 = follow each spec
     scenario::ProbeMode probe_mode = scenario::ProbeMode::automatic;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--json") {
@@ -449,13 +424,6 @@ int cmd_batch(const std::vector<std::string>& args) {
             if (++i >= args.size()) return usage();
             if (!parse_probe_mode(args[i], probe_mode)) {
                 std::cerr << "--probe-mode needs auto, inline or async, got '"
-                          << args[i] << "'\n";
-                return 2;
-            }
-        } else if (args[i] == "--shards") {
-            if (++i >= args.size()) return usage();
-            if (!parse_count(args[i], shards) || shards == 0 || shards > 256) {
-                std::cerr << "--shards needs an integer in [1, 256], got '"
                           << args[i] << "'\n";
                 return 2;
             }
@@ -497,7 +465,7 @@ int cmd_batch(const std::vector<std::string>& args) {
             // contestant's tuning applied to another.
             spec.healer = scenario::ComponentSpec{healer_override, {}};
         truncate_schedule(spec, max_steps);
-        batch_jobs.push_back({file, std::move(spec), probe_mode, shards});
+        batch_jobs.push_back({file, std::move(spec), probe_mode});
     }
 
     auto rows = trace_tools::run_batch(batch_jobs, jobs);
