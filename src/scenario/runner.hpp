@@ -42,26 +42,6 @@ core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
 Trace make_trace(const ScenarioSpec& spec, std::vector<TraceEvent> events,
                  std::uint64_t trace_hash, std::uint64_t fingerprint);
 
-class ProbePipeline;
-
-/// How run() schedules the metric probes of cadence samples.
-///
-/// Probe values are byte-identical across modes: both paths run the same
-/// CSR-level probe code on byte-identical snapshot arrays, the lambda2
-/// warm-start chain sees the same snapshot sequence, and the stretch rng
-/// draws happen on the stepping thread in the same order either way (see
-/// probe_pipeline.hpp for the full argument). Only the timing fields and
-/// the rebuild/patch accounting differ.
-enum class ProbeMode {
-    /// async_pipeline when cadence sampling requests heavy probes
-    /// (connected / lambda2 / stretch); inline_only otherwise.
-    automatic,
-    /// Every probe on the stepping thread, serialized with stepping.
-    inline_only,
-    /// Heavy probes on a dedicated worker thread; stepping overlaps them.
-    async_pipeline,
-};
-
 /// One row of the sampled metric time series. Probe-gated metrics default
 /// to NaN ("not sampled"); counters are always filled.
 ///
@@ -92,7 +72,7 @@ struct MetricSample {
     double expansion = std::nan("");          ///< probe: expansion
     double lambda2 = std::nan("");            ///< probe: lambda2
     double stretch = std::nan("");            ///< probe: stretch
-    double probe_seconds = 0.0;               ///< wall time spent probing
+    double probe_seconds = 0.0;  ///< sample wall time, lambda2 join included
 
     bool connected() const { return components == 1; }
 };
@@ -119,17 +99,10 @@ struct RunResult {
     std::size_t steps_done = 0;
     /// Adversary+healer stepping wall time, metric probes excluded.
     double seconds = 0.0;
-    /// Wall time spent in metric probes across all samples (cadence +
-    /// final). Disjoint from `seconds`. Under ProbeMode::async_pipeline
-    /// this is stepping-thread share plus worker share; the worker share
-    /// overlaps stepping, so probe_seconds may exceed the sampling
-    /// interval's wall time.
+    /// Wall time of every sample (cadence + final), summed: snapshot sync,
+    /// the caller-side probes and the wait to join the forked lambda2
+    /// solve. Disjoint from `seconds`.
     double probe_seconds = 0.0;
-    /// Stepping-thread seconds spent blocked waiting on the async probe
-    /// worker (both pipeline slots in flight, or a phase/run-end drain).
-    /// Always 0 when probing inline. Disjoint from both `seconds` and
-    /// `probe_seconds`.
-    double probe_stall_seconds = 0.0;
     /// Incremental probe accounting: full CSR snapshot rebuilds vs journal
     /// rows patched in place, summed over current + reference snapshots.
     std::uint64_t probe_rebuilds = 0;
@@ -164,11 +137,6 @@ public:
     /// spec.topology. The master Rng starts fresh at spec.seed.
     ScenarioRunner(const ScenarioSpec& spec, graph::Graph initial);
 
-    /// Select how run() schedules metric probes (default: automatic).
-    /// Call before run(); probe values do not depend on the choice.
-    void set_probe_mode(ProbeMode mode) { probe_mode_ = mode; }
-    ProbeMode probe_mode() const { return probe_mode_; }
-
     /// Execute the full phase schedule. Call once per runner.
     RunResult run();
 
@@ -197,24 +165,12 @@ private:
 
     static Probes parse_probes(const ScenarioSpec& spec);
 
-    /// Append a sample of the probe-selected metrics (plus `extra` probes,
-    /// used for the final sample where expectations may need more).
+    /// A sample of the probe-selected metrics (the final sample passes
+    /// final_probes(), where expectations may need more). lambda2 is solved
+    /// on a forked thread while this one runs the other probes; see
+    /// DESIGN.md decision 10.
     MetricSample take_sample(std::size_t step, const std::string& phase,
                              const Probes& probes);
-
-    /// Async-mode counterpart of take_sample: appends a sample row with the
-    /// cheap fields filled inline (counters, degree, expansion), drains the
-    /// graph journals into the pipeline, and publishes the heavy probes
-    /// (filled in by the collect callback later). Returns the
-    /// stepping-thread seconds consumed, stall included — the caller's
-    /// deduction from the timed loop.
-    double sample_async(ProbePipeline& pipeline, RunResult& result, std::size_t step,
-                        const std::string& phase, const Probes& probes);
-
-    /// The probes that always run on the stepping thread (degree ratios,
-    /// Lemma 3 slack, expansion): they read the live graph and reference
-    /// directly and are shared by the inline and async sampling paths.
-    void probe_cheap(MetricSample& sample, const Probes& probes);
 
     /// Probes the final sample needs beyond the spec's list: one per
     /// expectation kind.
@@ -229,7 +185,6 @@ private:
     /// across samples so steady-state probing does not allocate.
     spectral::ProbeEngine probe_engine_;
     double probe_seconds_ = 0.0;  ///< accumulated across take_sample calls
-    ProbeMode probe_mode_ = ProbeMode::automatic;
     std::size_t kappa_ = 1;
     const core::CloudRegistry* registry_ = nullptr;
     core::HealingSession session_;

@@ -65,17 +65,12 @@ public:
     /// over each adjacency row through four independent accumulators, so
     /// the gather loop carries no serial dependency chain and the edge pass
     /// touches one array instead of two. The summation order is fixed by
-    /// the snapshot layout — never by thread count — so probe values are
-    /// identical inline and off-thread. `scaled` is caller-owned scratch
-    /// (resized here, reused across applies by the probe engine).
+    /// the snapshot layout — never by thread count — so probe values do
+    /// not depend on which thread runs the apply. `scaled` is caller-owned
+    /// scratch (resized here, reused across applies by the probe engine),
+    /// so the apply never writes the shared snapshot.
     void apply_normalized_laplacian(const std::vector<double>& x, std::vector<double>& y,
                                     std::vector<double>& scaled) const;
-
-    /// Scratchless convenience overload (tests, one-shot callers): uses an
-    /// internal scratch buffer, so it is NOT safe to call concurrently on
-    /// one snapshot. The hot paths pass their own scratch above.
-    void apply_normalized_laplacian(const std::vector<double>& x,
-                                    std::vector<double>& y) const;
 
     /// The unit-norm kernel vector D^{1/2} 1 of the normalized Laplacian,
     /// written into `out` (resized). Empty when the total degree is zero.
@@ -100,8 +95,6 @@ private:
     std::vector<std::uint32_t> old_to_new_;
     std::vector<std::uint8_t> row_state_;
     std::vector<graph::NodeId> added_;
-    /// Scratch of the scratchless apply overload only (see above).
-    mutable std::vector<double> scaled_;
 };
 
 }  // namespace xheal::spectral

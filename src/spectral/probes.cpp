@@ -65,7 +65,7 @@ void IncrementalSnapshot::sync(const Graph& g) {
     pending_.clear();
 }
 
-void ProbeEngine::ensure_snapshot(const Graph& g) {
+void ProbeEngine::sync(const Graph& g) {
     if (batch_graph_ == &g && snapshot_valid_) return;
     if (batch_graph_ != &g) snap_.invalidate();  // un-batched probe: rebuild
     snap_.sync(g);
@@ -76,20 +76,15 @@ void ProbeEngine::ensure_snapshot(const Graph& g) {
 
 double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
     if (g.node_count() < 2) return 0.0;
-    ensure_snapshot(g);
-    return lambda2_csr(snap_.csr(), seed);
-}
-
-double ProbeEngine::lambda2_csr(const CsrGraph& csr, std::uint64_t seed) {
-    if (csr.size() < 2) return 0.0;
-    if (csr.size() <= dense_limit_) return lambda2_dense_csr(csr);
-    return lambda2_sparse_csr(csr, seed, probe_lanczos_steps, probe_lambda2_tol,
+    sync(g);
+    if (snap_.csr().size() <= dense_limit_) return lambda2_dense_csr(snap_.csr());
+    return lambda2_sparse_csr(snap_.csr(), seed, probe_lanczos_steps, probe_lambda2_tol,
                               /*warm=*/true);
 }
 
 double ProbeEngine::lambda2_dense(const Graph& g) {
     if (g.node_count() < 2) return 0.0;
-    ensure_snapshot(g);
+    sync(g);
     return lambda2_dense_csr(snap_.csr());
 }
 
@@ -116,7 +111,7 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
                                        std::size_t max_iterations, double tolerance,
                                        bool warm) {
     if (csr.size() < 2) return 0.0;
-    if (count_components(csr, dist_, queue_) > 1) return 0.0;
+    if (count_components(csr, gate_visited_, gate_queue_) > 1) return 0.0;
 
     csr.normalized_kernel(kernel_);
     util::Rng rng(seed);
@@ -138,7 +133,7 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
 double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed,
                                    std::size_t max_iterations, double tolerance) {
     if (g.node_count() < 2) return 0.0;
-    ensure_snapshot(g);
+    sync(g);
     return lambda2_sparse_csr(snap_.csr(), seed, max_iterations, tolerance,
                               /*warm=*/false);
 }
@@ -165,12 +160,8 @@ const std::vector<double>* ProbeEngine::build_warm_start(const CsrGraph& csr) {
 // ----- components -----
 
 std::size_t ProbeEngine::component_count(const Graph& g) {
-    ensure_snapshot(g);
-    return component_count_csr(snap_.csr());
-}
-
-std::size_t ProbeEngine::component_count_csr(const CsrGraph& csr) {
-    return count_components(csr, dist_, queue_);
+    sync(g);
+    return count_components(snap_.csr(), dist_, queue_);
 }
 
 // ----- stretch -----
@@ -195,44 +186,30 @@ void ProbeEngine::bfs(const CsrGraph& csr, std::uint32_t src,
 
 double ProbeEngine::sampled_stretch(const Graph& g, const Graph& ref,
                                     std::size_t budget, util::Rng& rng) {
-    ensure_snapshot(g);
+    sync(g);
     // The reference only follows the incremental protocol when the caller
     // feeds note_reference(); otherwise fall back to rebuild-per-call.
     if (!incremental_) ref_snap_.invalidate();
     ref_snap_.sync(ref);
-    return sampled_stretch_csr(snap_.csr(), ref_snap_.csr(), budget, rng);
-}
-
-double ProbeEngine::sampled_stretch_csr(const CsrGraph& csr, const CsrGraph& ref_csr,
-                                        std::size_t budget, util::Rng& rng) {
-    sample_stretch_sources(csr, budget, rng, sources_);
-    return stretch_over_sources(csr, ref_csr, sources_);
-}
-
-void ProbeEngine::sample_stretch_sources(const CsrGraph& csr, std::size_t budget,
-                                         util::Rng& rng, std::vector<NodeId>& out) {
+    const CsrGraph& csr = snap_.csr();
+    const CsrGraph& ref_csr = ref_snap_.csr();
     std::size_t n = csr.size();
-    out.clear();
-    if (n < 2) return;  // stretch degenerates to 1.0; draw nothing
+    if (n < 2) return 1.0;  // stretch degenerates to 1.0; draw nothing
+
     // Sample `budget` distinct sources by partial Fisher-Yates over the live
     // pool; budget >= n degenerates to the exact all-sources sweep.
-    out.assign(csr.nodes().begin(), csr.nodes().end());
+    sources_.assign(csr.nodes().begin(), csr.nodes().end());
     std::size_t k = std::min(budget, n);
     if (k < n) {
         for (std::size_t i = 0; i < k; ++i) {
             std::size_t j = i + rng.index(n - i);
-            std::swap(out[i], out[j]);
+            std::swap(sources_[i], sources_[j]);
         }
-        out.resize(k);
+        sources_.resize(k);
     }
-}
-
-double ProbeEngine::stretch_over_sources(const CsrGraph& csr, const CsrGraph& ref_csr,
-                                         const std::vector<NodeId>& sources) {
-    if (csr.size() < 2) return 1.0;
 
     double worst = 0.0;
-    for (NodeId s : sources) {
+    for (NodeId s : sources_) {
         std::uint32_t gi = csr.index_of(s);
         std::uint32_t ri = ref_csr.index_of(s);
         if (ri == CsrGraph::npos) continue;  // source unknown to the reference

@@ -29,6 +29,13 @@
 //                        are drawn from the caller's rng (the runner's
 //                        independent probe stream), so probe cadence never
 //                        perturbs the adversary trace.
+//
+// Threading: inside a begin_sample batch, once sync(g) has frozen the
+// snapshot, lambda2(g) may run on one thread while component_count(g) and
+// sampled_stretch() run on another. lambda2 only reads the frozen snapshot
+// and writes scratch no other probe touches (its own connectivity-gate
+// buffers, the kernel, the spmv pass, the warm-start state and the dense
+// scratch). No other pair of calls may overlap.
 #pragma once
 
 #include <cstdint>
@@ -143,48 +150,11 @@ public:
     double sampled_stretch(const graph::Graph& g, const graph::Graph& ref,
                            std::size_t budget, util::Rng& rng);
 
-    // ----- CSR-level probe entry points -----
-    //
-    // The same probes over caller-held snapshots: the async probe pipeline
-    // (scenario/probe_pipeline.hpp) double-buffers IncrementalSnapshots
-    // outside the engine and hands the frozen CSR arrays here, while the
-    // engine contributes its scratch buffers and the lambda2 warm-start
-    // chain. The graph-level probes above are thin wrappers that sync the
-    // engine's own snapshot first and then call these — both paths run the
-    // identical code on byte-identical arrays (csr_patch_test's patch ==
-    // build guarantee), which is what makes inline and off-thread probing
-    // produce identical MetricSample values.
-
-    /// lambda2 of a frozen snapshot; auto-selects the dense scratch-reusing
-    /// Jacobi path at or below dense_limit() rows and warm-started budgeted
-    /// Lanczos above it.
-    double lambda2_csr(const CsrGraph& csr, std::uint64_t seed = 12345);
-
-    /// Connected-component count of a frozen snapshot.
-    std::size_t component_count_csr(const CsrGraph& csr);
-
-    /// Sampled stretch over frozen snapshots of g and the reference.
-    double sampled_stretch_csr(const CsrGraph& csr, const CsrGraph& ref_csr,
-                               std::size_t budget, util::Rng& rng);
-
-    /// The stretch probe's source-sampling half: min(budget, n) distinct
-    /// sources by partial Fisher-Yates over the snapshot's live pool (no
-    /// draws when budget >= n — the exact all-sources sweep — or n < 2).
-    /// Factored out so the async pipeline can draw sources on the stepping
-    /// thread — keeping the probe stream's draw order identical to inline
-    /// sampling — while the BFS sweeps run off-thread.
-    static void sample_stretch_sources(const CsrGraph& csr, std::size_t budget,
-                                       util::Rng& rng,
-                                       std::vector<graph::NodeId>& out);
-
-    /// The BFS half of the stretch probe over a pre-sampled source list.
-    double stretch_over_sources(const CsrGraph& csr, const CsrGraph& ref_csr,
-                                const std::vector<graph::NodeId>& sources);
-
     /// Batch scope: between begin_sample(g) and end_sample(), the CSR
-    /// snapshot of g is synced lazily on first use and then shared by every
-    /// probe in the batch (the caller vouches that g does not mutate).
-    /// Outside a batch each probe rebuilds the snapshot itself.
+    /// snapshot of g is synced lazily on first use (or eagerly by sync())
+    /// and then shared by every probe in the batch (the caller vouches that
+    /// g does not mutate). Outside a batch each probe rebuilds the snapshot
+    /// itself.
     ///
     /// The journal-free overload discards any incremental state (the delta
     /// since the last sample is unknown) and rebuilds. The journal overload
@@ -212,6 +182,11 @@ public:
         batch_graph_ = nullptr;
         snapshot_valid_ = false;
     }
+
+    /// Sync the snapshot of g now instead of at the first probe. Inside a
+    /// batch every later probe reuses it, so lambda2(g) may then run on
+    /// another thread (see the threading note at the top of this file).
+    void sync(const graph::Graph& g);
 
     /// Id-compaction support: both snapshots hold renumbered rows now, so
     /// they are invalidated (the graphs' cleared-overflowed journals force
@@ -253,9 +228,6 @@ public:
     std::size_t dense_limit() const { return dense_limit_; }
 
 private:
-    /// Sync the snapshot of g, or reuse it within a begin_sample batch.
-    void ensure_snapshot(const graph::Graph& g);
-
     /// lambda2 via CSR Lanczos, optionally warm-started from (and feeding)
     /// the previous auto solve's Ritz vector.
     double lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
@@ -286,6 +258,10 @@ private:
     std::vector<std::uint32_t> ref_dist_;
     std::vector<std::uint32_t> queue_;
     std::vector<graph::NodeId> sources_;
+    // lambda2's connectivity gate has its own flood-fill scratch, so the
+    // solve shares no buffer with the components and stretch probes.
+    std::vector<std::uint32_t> gate_visited_;
+    std::vector<std::uint32_t> gate_queue_;
     // Warm-start state: the previous auto-path Ritz vector keyed by node id.
     std::vector<graph::NodeId> warm_ids_;
     std::vector<double> warm_vec_;
@@ -293,8 +269,8 @@ private:
     bool has_warm_ = false;
     // Dense-path scratch: work matrix + eigenvalue buffer, reused across
     // samples so the small-graph fallback stops re-allocating O(n^2) per
-    // probe. `scaled_` is the spmv's D^{-1/2}x pass, owned here so two
-    // engines can probe two snapshots concurrently.
+    // probe. `scaled_` is the spmv's D^{-1/2}x pass, owned here rather than
+    // by the shared snapshot so the solve writes only lambda2 scratch.
     DenseMatrix dense_scratch_;
     std::vector<double> dense_values_;
     std::vector<double> scaled_;

@@ -15,9 +15,7 @@ BatchOutcome run_one(const BatchJob& job) {
     out.scenario = job.spec.name;
     out.healer = job.spec.healer.kind;
     try {
-        scenario::ScenarioRunner runner(job.spec);
-        runner.set_probe_mode(job.probe_mode);
-        scenario::RunResult result = runner.run();
+        scenario::RunResult result = scenario::ScenarioRunner(job.spec).run();
         out.pass = result.passed();
         out.steps = result.steps_done;
         out.events = result.events.size();
@@ -26,7 +24,6 @@ BatchOutcome run_one(const BatchJob& job) {
         out.seconds = result.seconds;
         out.steps_per_sec = result.steps_per_sec();
         out.probe_seconds = result.probe_seconds;
-        out.probe_stall_seconds = result.probe_stall_seconds;
         out.samples = result.samples.size();
         out.deletions = result.final_sample.deletions;
         out.messages = result.final_sample.messages;

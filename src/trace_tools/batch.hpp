@@ -27,7 +27,6 @@ namespace xheal::trace_tools {
 struct BatchJob {
     std::string file;  ///< display name (filename within the batch dir)
     scenario::ScenarioSpec spec;
-    scenario::ProbeMode probe_mode = scenario::ProbeMode::automatic;
 };
 
 /// One job's outcome. Timing fields are the only non-deterministic members.
@@ -43,7 +42,6 @@ struct BatchOutcome {
     double seconds = 0.0;
     double steps_per_sec = 0.0;
     double probe_seconds = 0.0;
-    double probe_stall_seconds = 0.0;
     std::size_t samples = 0;
     /// Distributed-protocol billing at run end (cumulative, deterministic;
     /// 0 for non-message-passing healers), plus the deletion count they

@@ -5,9 +5,9 @@
 // across jobs — scheduling interleavings move timing fields only, and
 // outcomes land positionally whatever order the workers claimed them in.
 //
-// This test (with async_probe_equivalence_test) is the CI tsan job's
-// workload: jobs=8 over a 5-spec pack forces real claim-counter
-// contention and oversubscribed worker + probe-pipeline threads.
+// This test (with scenario_runner_test, whose p2p_churn pin forks the
+// lambda2 probe) is the CI tsan job's workload: jobs=8 over a 5-spec pack
+// forces real claim-counter contention and oversubscribed worker threads.
 
 #include <gtest/gtest.h>
 
@@ -32,9 +32,7 @@ std::vector<trace_tools::BatchJob> load_pack(const std::string& pack) {
     std::sort(files.begin(), files.end());
     std::vector<trace_tools::BatchJob> jobs;
     for (const auto& file : files)
-        jobs.push_back({file,
-                        scenario::ScenarioSpec::parse_file((dir / file).string()),
-                        scenario::ProbeMode::automatic});
+        jobs.push_back({file, scenario::ScenarioSpec::parse_file((dir / file).string())});
     return jobs;
 }
 

@@ -99,12 +99,36 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
 
-    // The v6 run report: pinned schema, no engine-width field.
+    // The v7 run report: pinned schema, no engine-width or stall field.
     std::string json = testing::TempDir() + "cli_run.json";
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + json), 0);
     std::string body = slurp(json);
-    EXPECT_NE(body.find("\"schema\": \"xheal-bench-scenarios-v6\""), std::string::npos);
+    EXPECT_NE(body.find("\"schema\": \"xheal-bench-scenarios-v7\""), std::string::npos);
     EXPECT_EQ(body.find("shards"), std::string::npos);
+    EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
+}
+
+TEST_F(CliContract, UnknownOptionsAreUsageErrorsBeforeAnythingRuns) {
+    // An unrecognised --flag must not be taken for a spec path (which would
+    // run every spec first and only then fail to open the "file"), nor for
+    // a batch directory. The removed --probe-mode is the live case.
+    std::string dir = testing::TempDir() + "cli_batch_unknown";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/only.scn") << kPassingSpec;
+    const std::string commands[] = {
+        "run " + pass_scn_ + " --bogus",
+        "run " + pass_scn_ + " --probe-mode inline",
+        "batch " + dir + " --probe-mode inline",
+        "batch --bogus " + dir,
+    };
+    for (const std::string& command : commands) {
+        SCOPED_TRACE(command);
+        std::string output;
+        EXPECT_EQ(run_cli(command, &output), 2);
+        EXPECT_NE(output.find("unknown option"), std::string::npos) << output;
+        EXPECT_EQ(output.find("VERDICT"), std::string::npos) << output;
+    }
 }
 
 TEST_F(CliContract, MalformedSpecsExitTwoWithTheirLineNumber) {
@@ -215,8 +239,9 @@ TEST_F(CliContract, BatchExitCodes) {
     std::string json = testing::TempDir() + "cli_batch.json";
     EXPECT_EQ(run_cli("batch " + dir + " --json " + json), 0);
     std::string body = slurp(json);
-    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v5\""), std::string::npos);
+    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v6\""), std::string::npos);
     EXPECT_EQ(body.find("shards"), std::string::npos);
+    EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
     EXPECT_NE(body.find("\"jobs\": 1"), std::string::npos);
     EXPECT_NE(body.find("\"trace_hash\""), std::string::npos);
     // v3 billing columns are always present (0 for local healers).

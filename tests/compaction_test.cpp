@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -260,6 +262,31 @@ TEST(CompactionScenario, ReplayReproducesAcrossCompactionBoundaries) {
     EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);
     EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
     EXPECT_EQ(replayed.compactions, recorded.compactions);
+
+    // With the lambda2 probe on, ProbeEngine::on_compact must carry the
+    // snapshots and the warm-start vector onto the new numbering: the
+    // replayed final lambda2 equals the recorded one bit for bit.
+    auto probed = ScenarioSpec::parse(R"(
+name replay-compact-lambda2
+seed 23
+topology random-regular n=64 d=4
+healer xheal d=2
+probes connected lambda2
+sample_every 0
+phase churn steps=160 delete_fraction=0.6 deleter=random inserter=random-attach k=3 min_nodes=24 compact=2
+expect connected
+expect lambda2 >= 0.01
+)");
+    auto probed_run = ScenarioRunner(probed).run();
+    ASSERT_GE(probed_run.compactions, 1u);
+    auto probed_replay = ScenarioRunner(probed).replay(probed_run.to_trace(probed));
+    EXPECT_EQ(probed_replay.trace_hash, probed_run.trace_hash);
+    EXPECT_EQ(probed_replay.fingerprint, probed_run.fingerprint);
+    EXPECT_EQ(probed_replay.compactions, probed_run.compactions);
+    EXPECT_EQ(probed_replay.failures, probed_run.failures);
+    ASSERT_FALSE(std::isnan(probed_replay.final_sample.lambda2));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(probed_replay.final_sample.lambda2),
+              std::bit_cast<std::uint64_t>(probed_run.final_sample.lambda2));
 }
 
 TEST(CompactionScenario, ReplayMatchesRunSlotAccounting) {

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "scenario/runner.hpp"
 
@@ -226,6 +230,89 @@ TEST(ScenarioRunner, ProbeCostIsAccountedPerSampleAndPerRun) {
     EXPECT_NEAR(result.probe_seconds, sum, 1e-9);
     // `seconds` measures stepping only; probe cost is accounted separately.
     EXPECT_GE(result.seconds, 0.0);
+}
+
+TEST(ScenarioRunner, ForkedProbeValuesArePinnedBitwise) {
+    // take_sample solves lambda2 on a forked thread over the frozen snapshot
+    // while this thread runs components, degree, expansion and stretch. The
+    // pinned bit patterns were recorded from the serial sampler, so a moved
+    // bit anywhere — the lambda2 warm chain, the split scratch, the stretch
+    // rng order — fails here. Under TSan this is the fork's race check.
+    struct Pin {
+        std::size_t step, components;
+        std::uint64_t lambda2, stretch;
+    };
+    const Pin pins[] = {
+        {30, 1, 0x3fde94b9bb159704ull, 0x3ff0000000000000ull},
+        {60, 1, 0x3fe2294600f04154ull, 0x3ff0000000000000ull},
+        {90, 1, 0x3fdc9a7c83c7f856ull, 0x3ff8000000000000ull},
+        {120, 1, 0x3fdc69067e591af3ull, 0x3ff8000000000000ull},
+        {150, 1, 0x3fd83b6b74b6950cull, 0x3ff8000000000000ull},
+        {180, 1, 0x3fdc5951f4b7dbf5ull, 0x3ff0000000000000ull},
+        {210, 1, 0x3fddc3bb2706969bull, 0x3ff8000000000000ull},
+        {240, 1, 0x3fdf1cd143d829b7ull, 0x3ff0000000000000ull},
+        {270, 1, 0x3fdf26689df3799full, 0x3ff0000000000000ull},
+        {300, 1, 0x3fde3f91550eed8dull, 0x3ff0000000000000ull},
+    };
+    auto spec = ScenarioSpec::parse_file(std::string(XHEAL_REPO_DIR) +
+                                         "/scenarios/p2p_churn.scn");
+    auto result = ScenarioRunner(spec).run();
+    ASSERT_EQ(result.samples.size(), std::size(pins));
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        const auto& s = result.samples[i];
+        SCOPED_TRACE("sample " + std::to_string(i));
+        EXPECT_EQ(s.step, pins[i].step);
+        EXPECT_EQ(s.components, pins[i].components);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.lambda2), pins[i].lambda2);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.stretch), pins[i].stretch);
+    }
+}
+
+TEST(ScenarioRunner, ForkedSparseLambda2IsPinnedBitwise) {
+    // Above ProbeEngine::dense_limit the forked solve runs the warm-started
+    // Lanczos path and its connectivity gate while this thread runs the
+    // components and stretch BFS sweeps — the sparse half of the fork that
+    // the small p2p_churn graph never reaches. Pins recorded from the
+    // serial sampler.
+    auto spec = ScenarioSpec::parse(R"(
+name forked-sparse
+seed 19
+topology random-regular n=300 d=4
+healer xheal d=2
+probes connected degree lambda2 stretch
+sample_every 10
+stretch_samples 4
+phase churn steps=50 delete_fraction=0.5 deleter=random inserter=random-attach k=3 min_nodes=200
+expect connected
+)");
+    const std::uint64_t lambda2_pins[] = {
+        0x3fc3927b89263e22ull, 0x3fc3c9301d3b898bull, 0x3fc4c35efb59d74bull,
+        0x3fc627de5e7c9420ull, 0x3fc6be533051f5d1ull,
+    };
+    auto result = ScenarioRunner(spec).run();
+    ASSERT_EQ(result.samples.size(), std::size(lambda2_pins));
+    for (std::size_t i = 0; i < std::size(lambda2_pins); ++i) {
+        const auto& s = result.samples[i];
+        SCOPED_TRACE("sample " + std::to_string(i));
+        EXPECT_GT(s.nodes, spectral::ProbeEngine::default_dense_limit);
+        EXPECT_EQ(s.components, 1u);
+        EXPECT_EQ(s.stretch, 1.0);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.lambda2), lambda2_pins[i]);
+    }
+}
+
+TEST(ScenarioRunner, WarmStartedLambda2MatchesAColdSolve) {
+    // The sampled lambda2 on the final healed graph agrees with a cold
+    // fresh-engine solve to probe tolerance — guards against the warm chain
+    // drifting onto a stale Ritz vector.
+    auto spec = ScenarioSpec::parse_file(std::string(XHEAL_REPO_DIR) +
+                                         "/scenarios/p2p_churn.scn");
+    ScenarioRunner runner(spec);
+    auto result = runner.run();
+    ASSERT_FALSE(std::isnan(result.final_sample.lambda2));
+    spectral::ProbeEngine cold;
+    EXPECT_NEAR(result.final_sample.lambda2, cold.lambda2(runner.session().current()),
+                1e-2);
 }
 
 TEST(ScenarioRunner, SamplingCadenceDoesNotPerturbTheTrace) {
