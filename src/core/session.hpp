@@ -85,11 +85,12 @@ public:
     /// materialization. Ordered traversals should use current().nodes().
     const std::vector<graph::NodeId>& alive_pool() const { return alive_; }
 
-    /// Deprecated materializing shim: copies the pool. Kept for tests and
-    /// old examples; new code should sample alive_pool() directly.
-    std::vector<graph::NodeId> alive_nodes() const { return alive_; }
-
 private:
+    /// delete_node (staged = false) and stage_delete (staged = true): the
+    /// healer call plus the shared bookkeeping — A(p) sample, swap-remove
+    /// from the alive pool, totals and the deletion count.
+    RepairReport remove_node(graph::NodeId v, bool staged);
+
     graph::Graph g_;
     graph::Graph ref_;
     std::unique_ptr<Healer> healer_;

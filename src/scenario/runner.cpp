@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <future>
-#include <optional>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
@@ -165,6 +164,17 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     return sample;
 }
 
+void ScenarioRunner::finish_result(RunResult& result) {
+    std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
+    result.final_sample = take_sample(result.steps_done, last_phase, final_probes());
+    result.samples.push_back(result.final_sample);
+    result.probe_rebuilds = probe_engine_.probe_rebuilds();
+    result.probe_patched_events = probe_engine_.probe_patched_events();
+    result.probe_seconds = probe_seconds_;
+    result.fingerprint = graph_fingerprint(session_.current());
+    evaluate_expectations(result);
+}
+
 void ScenarioRunner::evaluate_expectations(RunResult& result) const {
     const MetricSample& fin = result.final_sample;
     auto fmt = [](double v) {
@@ -221,6 +231,101 @@ void ScenarioRunner::evaluate_expectations(RunResult& result) const {
     }
 }
 
+EventApplier::EventApplier(const ScenarioSpec& spec, core::HealingSession& session,
+                           spectral::ProbeEngine& probe_engine)
+    : spec_(spec), session_(session), probe_engine_(probe_engine) {
+    phases_.resize(spec_.phases.size());
+    for (std::size_t i = 0; i < spec_.phases.size(); ++i) {
+        phases_[i].name = spec_.phases[i].name;
+        phases_[i].steps = spec_.phases[i].steps;
+    }
+    // Slot accounting starts at the initial topology: a delete-heavy first
+    // phase must not make the high-water marks miss the starting population.
+    live_high_water_ = session_.current().node_count();
+    peak_slot_count_ = session_.current().next_id();
+}
+
+PhaseResult& EventApplier::stats() {
+    return phase_.has_value() && *phase_ < phases_.size() ? phases_[*phase_] : unphased_;
+}
+
+void EventApplier::note_slots() {
+    live_high_water_ = std::max(live_high_water_, session_.current().node_count());
+    peak_slot_count_ =
+        std::max<std::size_t>(peak_slot_count_, session_.current().next_id());
+}
+
+void EventApplier::enter_phase(std::uint32_t phase) {
+    if (phase_ == phase) return;
+    flush();  // batches never span phases
+    phase_ = phase;
+    batch_ = 1;
+    if (phase < spec_.phases.size()) {
+        const PhaseSpec& spec = spec_.phases[phase];
+        batch_ = spec.batch;
+        // No-op for non-message-passing healers; never touches any rng
+        // stream, so only the bill depends on it.
+        session_.healer().set_network_faults(core::NetFaults{spec.drop, spec.latency});
+    }
+}
+
+void EventApplier::flush() {
+    if (staged_ == 0) return;
+    core::RepairReport report = session_.flush_staged();
+    stats().totals.accumulate(report);
+    staged_ = 0;
+}
+
+void EventApplier::skip() { ++stats().skipped; }
+
+graph::NodeId EventApplier::apply(const TraceEvent& event) {
+    if (step_.has_value() && event.step > *step_) note_slots();
+    step_ = event.step;
+    enter_phase(event.phase);
+    PhaseResult& phase = stats();
+    switch (event.kind) {
+        case TraceEvent::Kind::remove: {
+            phase.victim_degree.add(
+                static_cast<double>(session_.reference().degree(event.node)));
+            core::RepairReport report;
+            if (batch_ > 1) {
+                // Staged: one connect_units serves the whole batch.
+                report = session_.stage_delete(event.node);
+                if (++staged_ >= batch_) flush();
+            } else {
+                report = session_.delete_node(event.node);
+            }
+            phase.totals.accumulate(report);
+            phase.rounds.add(static_cast<double>(report.rounds));
+            ++phase.deletions;
+            return event.node;
+        }
+        case TraceEvent::Kind::insert: {
+            flush();  // inserted nodes land on a healed graph
+            graph::NodeId id = session_.insert_node(event.neighbors);
+            ++phase.insertions;
+            return id;
+        }
+        case TraceEvent::Kind::compact:
+            flush();  // compaction requires a fully healed graph
+            // The peak must reflect the waste the epoch actually reached.
+            note_slots();
+            probe_engine_.on_compact(session_.compact());
+            ++compactions_;
+            return event.node;
+    }
+    return event.node;
+}
+
+void EventApplier::finish(RunResult& result) {
+    note_slots();
+    flush();
+    result.phases = std::move(phases_);
+    result.compactions = compactions_;
+    result.peak_slot_count = peak_slot_count_;
+    result.live_high_water = live_high_water_;
+}
+
 RunResult ScenarioRunner::run() {
     if (ran_) throw std::runtime_error("ScenarioRunner::run: already executed");
     ran_ = true;
@@ -228,12 +333,7 @@ RunResult ScenarioRunner::run() {
     RunResult result;
     TraceHasher hasher;
     Probes cadence_probes = parse_probes(spec_);
-
-    // Slot accounting starts at the initial topology: a delete-heavy first
-    // phase must not make the high-water marks miss the starting population.
-    // replay() seeds identically (compaction_test asserts the equality).
-    result.live_high_water = session_.current().node_count();
-    result.peak_slot_count = session_.current().next_id();
+    EventApplier applier(spec_, session_, probe_engine_);
 
     // Sampling time inside the timed loop — subtracted from `seconds` so
     // steps_per_sec measures adversary+healer stepping only.
@@ -243,47 +343,31 @@ RunResult ScenarioRunner::run() {
     std::size_t global_step = 0;
     for (std::size_t phase_index = 0; phase_index < spec_.phases.size(); ++phase_index) {
         const PhaseSpec& phase = spec_.phases[phase_index];
-        PhaseResult stats;
-        stats.name = phase.name;
-        stats.steps = phase.steps;
+        const auto phase_id = static_cast<std::uint32_t>(phase_index);
         // Per-phase seed (grammar v2): reseed the master stream at phase
         // entry, making the phase's adversary decisions independent of the
         // schedule prefix (sweeps may reorder phases without perturbation).
         if (phase.seed.has_value()) rng_ = util::Rng(*phase.seed);
-        // Phase-level network faults (`drop=` / `latency=`): applied (or
-        // cleared back to the healer's base model) at every phase entry.
-        // No-op for non-message-passing healers; never touches any rng
-        // stream, so replay stays byte-identical.
-        session_.healer().set_network_faults(
-            core::NetFaults{phase.drop, phase.latency});
+        applier.enter_phase(phase_id);
         auto deleter = make_phase_deleter(phase, registry_);
         auto inserter = make_inserter(phase.inserter);
 
-        // Batched adversary (`batch=k`): deletions stage their reconnection
-        // work; one flush per k deletions (or at a sample / successful
-        // insert / phase end) runs a single connect_units for the batch.
-        std::size_t staged = 0;
-        auto flush_batch = [&]() {
-            if (staged == 0) return;
-            stats.totals.accumulate(session_.flush_staged());
-            staged = 0;
-        };
-
-        auto try_insert = [&](std::size_t step) {
-            auto neighbors = inserter->pick_neighbors(session_, rng_);
-            if (neighbors.empty()) return false;
-            // Inserted nodes land on a healed graph (replay mirrors this
-            // flush point at every recorded insert event).
-            flush_batch();
-            TraceEvent event;
-            event.kind = TraceEvent::Kind::insert;
-            event.step = step;
-            event.phase = static_cast<std::uint32_t>(phase_index);
-            event.node = session_.insert_node(neighbors);
-            event.neighbors = std::move(neighbors);
-            ++stats.insertions;
+        // Every decided event is applied, then recorded (an insert's node
+        // is the id the session assigned).
+        auto emit = [&](TraceEvent event) {
+            event.step = global_step;
+            event.phase = phase_id;
+            event.node = applier.apply(event);
             hasher.add(event);
             result.events.push_back(std::move(event));
+        };
+        auto try_insert = [&]() {
+            auto neighbors = inserter->pick_neighbors(session_, rng_);
+            if (neighbors.empty()) return false;
+            TraceEvent event;
+            event.kind = TraceEvent::Kind::insert;
+            event.neighbors = std::move(neighbors);
+            emit(std::move(event));
             return true;
         };
 
@@ -291,7 +375,7 @@ RunResult ScenarioRunner::run() {
             // Flash-crowd modeling (grammar v2): insert_burst forced
             // arrivals lead every step, before the regular event budget.
             for (std::size_t i = 0; i < phase.insert_burst; ++i)
-                if (!try_insert(global_step)) ++stats.skipped;
+                if (!try_insert()) applier.skip();
 
             double fraction = phase.delete_fraction_at(step);
             for (std::size_t b = 0; b < phase.burst; ++b) {
@@ -306,70 +390,41 @@ RunResult ScenarioRunner::run() {
                     if (victim != graph::invalid_node) {
                         TraceEvent event;
                         event.kind = TraceEvent::Kind::remove;
-                        event.step = global_step;
-                        event.phase = static_cast<std::uint32_t>(phase_index);
                         event.node = victim;
-                        stats.victim_degree.add(
-                            static_cast<double>(session_.reference().degree(victim)));
-                        auto report = phase.batch > 1 ? session_.stage_delete(victim)
-                                                      : session_.delete_node(victim);
-                        if (phase.batch > 1) {
-                            ++staged;
-                            if (staged >= phase.batch) flush_batch();
-                        }
-                        stats.totals.accumulate(report);
-                        stats.rounds.add(static_cast<double>(report.rounds));
-                        ++stats.deletions;
-                        hasher.add(event);
-                        result.events.push_back(std::move(event));
+                        emit(std::move(event));
                         did_event = true;
                     }
                 }
                 // Blocked or victimless deletes in a mixed phase fall
                 // through to an insert; deletion-only phases just skip.
-                if (!did_event && fraction < 1.0) did_event = try_insert(global_step);
-                if (!did_event) ++stats.skipped;
+                if (!did_event && fraction < 1.0) did_event = try_insert();
+                if (!did_event) applier.skip();
             }
-            // Slot address-space accounting, sampled before any compaction
-            // so the peak reflects the waste the epoch actually reached.
-            result.live_high_water =
-                std::max(result.live_high_water, session_.current().node_count());
-            result.peak_slot_count = std::max<std::size_t>(
-                result.peak_slot_count, session_.current().next_id());
             // Id-compaction epoch (`compact=K`, DESIGN.md decision 12):
             // close the epoch once the issued id space has outgrown the
             // live population K-fold. The canonical trace event precedes
             // the renumbering; every id in later events is new-numbering.
-            if (phase.compact != 0 &&
-                session_.current().next_id() > session_.current().node_count() &&
-                session_.current().next_id() >=
-                    phase.compact *
-                        std::max<std::size_t>(session_.current().node_count(), 1)) {
-                flush_batch();  // compaction requires a fully healed graph
+            std::size_t live = session_.current().node_count();
+            std::size_t issued = session_.current().next_id();
+            if (phase.compact != 0 && issued > live &&
+                issued >= phase.compact * std::max<std::size_t>(live, 1)) {
                 TraceEvent event;
                 event.kind = TraceEvent::Kind::compact;
-                event.step = global_step;
-                event.phase = static_cast<std::uint32_t>(phase_index);
-                event.node =
-                    static_cast<graph::NodeId>(session_.current().node_count());
-                hasher.add(event);
-                result.events.push_back(std::move(event));
-                probe_engine_.on_compact(session_.compact());
-                ++result.compactions;
+                event.node = static_cast<graph::NodeId>(live);
+                emit(std::move(event));
             }
             ++global_step;
             // The final sample (superset probes) covers the last step.
             if (spec_.sample_every != 0 && global_step % spec_.sample_every == 0 &&
                 global_step != spec_.total_steps()) {
-                flush_batch();  // probes always observe a healed graph
+                applier.flush();  // probes always observe a healed graph
                 result.samples.push_back(
                     take_sample(global_step, phase.name, cadence_probes));
                 loop_probe_seconds += result.samples.back().probe_seconds;
             }
         }
-        flush_batch();  // batches never span phases
-        result.phases.push_back(std::move(stats));
     }
+    applier.finish(result);
     auto t1 = std::chrono::steady_clock::now();
     // Cadence samples run inside the timed loop; subtract their wall time
     // so `seconds` (and steps_per_sec) measure adversary+healer stepping
@@ -378,16 +433,8 @@ RunResult ScenarioRunner::run() {
         std::chrono::duration<double>(t1 - t0).count() - loop_probe_seconds;
     if (result.seconds < 0.0) result.seconds = 0.0;  // clock-resolution guard
     result.steps_done = global_step;
-
-    std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
-    result.final_sample = take_sample(global_step, last_phase, final_probes());
-    result.samples.push_back(result.final_sample);
-    result.probe_rebuilds = probe_engine_.probe_rebuilds();
-    result.probe_patched_events = probe_engine_.probe_patched_events();
-    result.probe_seconds = probe_seconds_;
     result.trace_hash = hasher.value();
-    result.fingerprint = graph_fingerprint(session_.current());
-    evaluate_expectations(result);
+    finish_result(result);
     return result;
 }
 
@@ -397,150 +444,50 @@ RunResult ScenarioRunner::replay(const Trace& trace) {
 
     RunResult result;
     TraceHasher hasher;
-    result.phases.resize(spec_.phases.size());
-    for (std::size_t i = 0; i < spec_.phases.size(); ++i) {
-        result.phases[i].name = spec_.phases[i].name;
-        result.phases[i].steps = spec_.phases[i].steps;
-    }
-
-    // Slot accounting mirrors run() exactly: seed from the initial topology,
-    // then sample at step boundaries only (run() samples once per step, after
-    // the step's events and before any compaction — per-event sampling here
-    // would catch mid-step population spikes run() never observes and inflate
-    // live_high_water). compaction_test asserts run/replay equality.
-    result.live_high_water = session_.current().node_count();
-    result.peak_slot_count = session_.current().next_id();
-    auto note_accounting = [&]() {
-        result.live_high_water =
-            std::max(result.live_high_water, session_.current().node_count());
-        result.peak_slot_count = std::max<std::size_t>(result.peak_slot_count,
-                                                       session_.current().next_id());
-    };
-
+    EventApplier applier(spec_, session_, probe_engine_);
     auto t0 = std::chrono::steady_clock::now();
 
-    // Batched phases: replay takes no cadence samples, but the *grouping* of
-    // staged deletions into flushes feeds connect_units different unit sets
-    // (and hence a different healer rng trajectory), so every flush point of
-    // run() is reproduced: batch-full, before each insert event, phase
-    // change, any crossed sample boundary, and end-of-stream. An event
-    // recorded at step s precedes the cadence sample taken after step s iff
-    // s+1 is a sample multiple, so a boundary is crossed between events at
-    // steps p < c iff (p/se + 1)*se <= c.
-    std::size_t staged = 0;
-    std::uint32_t staged_phase = 0;
-    auto flush_batch = [&]() {
-        if (staged == 0) return;
-        core::RepairReport report = session_.flush_staged();
-        if (staged_phase < result.phases.size())
-            result.phases[staged_phase].totals.accumulate(report);
-        staged = 0;
-    };
-    std::size_t prev_step = 0;
-    bool have_prev = false;
-
-    // Mirror run()'s phase-entry fault hook: the fault model switches with
-    // the phase the replayed event belongs to. Applying it lazily (at the
-    // first event of a phase rather than at entry of event-less phases) is
-    // equivalent — the model only matters while messages are in flight.
-    std::optional<std::uint32_t> faults_phase;
-    auto apply_phase_faults = [&](std::uint32_t phase_index) {
-        if (faults_phase.has_value() && *faults_phase == phase_index) return;
-        faults_phase = phase_index;
-        if (phase_index < spec_.phases.size()) {
-            const PhaseSpec& phase = spec_.phases[phase_index];
-            session_.healer().set_network_faults(
-                core::NetFaults{phase.drop, phase.latency});
-        }
-    };
-
+    std::optional<std::uint64_t> prev_step;
     for (const TraceEvent& event : trace.events) {
-        // A later step begins: every event of prev_step is applied, which is
-        // run()'s per-step accounting point (before any boundary flush —
-        // flush order matters only if a flush could move the counts, and
-        // run() samples pre-flush too).
-        if (have_prev && event.step > prev_step) note_accounting();
-        if (staged > 0) {
-            bool crossed_sample =
-                spec_.sample_every != 0 && have_prev &&
-                (prev_step / spec_.sample_every + 1) * spec_.sample_every <= event.step;
-            if (crossed_sample || event.phase != staged_phase) flush_batch();
-        }
-        // After any cross-phase flush (run() flushes at phase end under the
-        // outgoing phase's fault model), switch to this event's model.
-        apply_phase_faults(event.phase);
-        PhaseResult* stats =
-            event.phase < result.phases.size() ? &result.phases[event.phase] : nullptr;
-        std::size_t batch =
-            event.phase < spec_.phases.size() ? spec_.phases[event.phase].batch : 1;
-        if (event.kind == TraceEvent::Kind::remove) {
-            if (!session_.current().has_node(event.node))
-                throw std::runtime_error(
-                    "replay diverged: step " + std::to_string(event.step) + " deletes node " +
-                    std::to_string(event.node) + " which is not alive");
-            if (stats != nullptr)
-                stats->victim_degree.add(
-                    static_cast<double>(session_.reference().degree(event.node)));
-            core::RepairReport report;
-            if (batch > 1) {
-                report = session_.stage_delete(event.node);
-                staged_phase = event.phase;
-                ++staged;
-                if (staged >= batch) flush_batch();
-            } else {
-                report = session_.delete_node(event.node);
-            }
-            if (stats != nullptr) {
-                stats->totals.accumulate(report);
-                stats->rounds.add(static_cast<double>(report.rounds));
-                ++stats->deletions;
-            }
-        } else if (event.kind == TraceEvent::Kind::insert) {
-            flush_batch();  // run() flushes before every successful insert
-            graph::NodeId got = session_.insert_node(event.neighbors);
-            if (got != event.node)
-                throw std::runtime_error("replay diverged: step " + std::to_string(event.step) +
-                                         " inserted node " + std::to_string(got) +
-                                         ", trace recorded " + std::to_string(event.node));
-            if (stats != nullptr) ++stats->insertions;
-        } else {
-            // Epoch boundary: replay compacts where the trace says run()
-            // did — no condition re-evaluation, the recorded event is the
-            // canonical decision. `live` doubles as a divergence check.
-            flush_batch();  // run() flushes before compacting
-            // run() samples the step's accounting before the compact fires
-            // (the peak must reflect the waste the epoch actually reached);
-            // at this point every pre-compact event of the step is applied.
-            note_accounting();
-            if (session_.current().node_count() != event.node)
-                throw std::runtime_error(
-                    "replay diverged: compact at step " + std::to_string(event.step) +
-                    " recorded " + std::to_string(event.node) + " live nodes, have " +
-                    std::to_string(session_.current().node_count()));
-            probe_engine_.on_compact(session_.compact());
-            ++result.compactions;
-        }
-        hasher.add(event);
+        // run() flushes before every cadence sample. Replay takes none, but
+        // the grouping of staged deletions into flushes feeds connect_units
+        // different unit sets (and so a different healer rng trajectory),
+        // so those flush points are reproduced: an event recorded at step s
+        // precedes the sample taken after step s iff s+1 is a sample
+        // multiple, so a sample falls between events at steps p < c iff
+        // (p/se + 1)*se <= c. Every other flush point is the applier's.
+        if (prev_step.has_value() && spec_.sample_every != 0 &&
+            (*prev_step / spec_.sample_every + 1) * spec_.sample_every <= event.step)
+            applier.flush();
         prev_step = event.step;
-        have_prev = true;
+
+        // Strict divergence checks: the recorded event must be one run()
+        // could have produced on this session.
+        if (event.kind == TraceEvent::Kind::remove && !session_.current().has_node(event.node))
+            throw std::runtime_error(
+                "replay diverged: step " + std::to_string(event.step) + " deletes node " +
+                std::to_string(event.node) + " which is not alive");
+        if (event.kind == TraceEvent::Kind::compact &&
+            session_.current().node_count() != event.node)
+            throw std::runtime_error(
+                "replay diverged: compact at step " + std::to_string(event.step) +
+                " recorded " + std::to_string(event.node) + " live nodes, have " +
+                std::to_string(session_.current().node_count()));
+        graph::NodeId got = applier.apply(event);
+        if (event.kind == TraceEvent::Kind::insert && got != event.node)
+            throw std::runtime_error("replay diverged: step " + std::to_string(event.step) +
+                                     " inserted node " + std::to_string(got) +
+                                     ", trace recorded " + std::to_string(event.node));
+        hasher.add(event);
         result.steps_done = event.step + 1;
     }
-    note_accounting();  // run()'s accounting point for the final step
-    flush_batch();
+    applier.finish(result);
 
     auto t1 = std::chrono::steady_clock::now();
     result.seconds = std::chrono::duration<double>(t1 - t0).count();
     result.events = trace.events;
-
-    std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
-    result.final_sample = take_sample(result.steps_done, last_phase, final_probes());
-    result.samples.push_back(result.final_sample);
-    result.probe_rebuilds = probe_engine_.probe_rebuilds();
-    result.probe_patched_events = probe_engine_.probe_patched_events();
-    result.probe_seconds = probe_seconds_;
     result.trace_hash = hasher.value();
-    result.fingerprint = graph_fingerprint(session_.current());
-    evaluate_expectations(result);
+    finish_result(result);
     return result;
 }
 

@@ -3,6 +3,13 @@
 // per-step metric sampling, records the deterministic event trace, and can
 // replay a recorded trace byte-for-byte from the same spec (trace.hpp).
 //
+// Layering: run() makes the adversary's decisions (picks, coins, the
+// compaction trigger, the sampling cadence) and replay() reads them from a
+// trace; both hand every event to the EventApplier, the only code that
+// turns an event into session calls. trace_tools::TraceExecutor drives the
+// same applier, so live runs, replays and forensics executions cannot
+// drift apart.
+//
 // Randomness contract: one master Rng seeded with spec.seed drives topology
 // construction (spec-built constructor) and every adversary decision, in
 // schedule order; a phase carrying its own `seed=` reseeds the master
@@ -13,6 +20,7 @@
 #pragma once
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,22 +33,6 @@
 #include "util/stats.hpp"
 
 namespace xheal::scenario {
-
-/// Build the session a spec describes: topology drawn from `rng` (which
-/// must sit at the position construction expects — the master stream's
-/// start), healer seeded by the spec. `prebuilt` (optional) replaces the
-/// spec topology; `kappa`/`registry` receive the healer capability
-/// handles. Shared by ScenarioRunner and trace_tools::TraceExecutor — the
-/// byte-for-byte replay guarantee of recorded traces and shrunk
-/// reproducers rests on every consumer building sessions identically.
-core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
-                                   graph::Graph* prebuilt, std::size_t& kappa,
-                                   const core::CloudRegistry*& registry);
-
-/// Assemble a serializable trace from a spec plus a recorded event stream
-/// and its hashes (shared by RunResult::to_trace and ExecResult::to_trace).
-Trace make_trace(const ScenarioSpec& spec, std::vector<TraceEvent> events,
-                 std::uint64_t trace_hash, std::uint64_t fingerprint);
 
 /// One row of the sampled metric time series. Probe-gated metrics default
 /// to NaN ("not sampled"); counters are always filled.
@@ -126,6 +118,89 @@ struct RunResult {
     Trace to_trace(const ScenarioSpec& spec) const;
 };
 
+/// Build the session a spec describes: topology drawn from `rng` (which
+/// must sit at the position construction expects — the master stream's
+/// start), healer seeded by the spec. `prebuilt` (optional) replaces the
+/// spec topology; `kappa`/`registry` receive the healer capability
+/// handles. Shared by ScenarioRunner and trace_tools::TraceExecutor — the
+/// byte-for-byte replay guarantee of recorded traces and shrunk
+/// reproducers rests on every consumer building sessions identically.
+core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
+                                   graph::Graph* prebuilt, std::size_t& kappa,
+                                   const core::CloudRegistry*& registry);
+
+/// Assemble a serializable trace from a spec plus a recorded event stream
+/// and its hashes (shared by RunResult::to_trace and ExecResult::to_trace).
+Trace make_trace(const ScenarioSpec& spec, std::vector<TraceEvent> events,
+                 std::uint64_t trace_hash, std::uint64_t fingerprint);
+
+/// The one code path that turns an adversary event into session calls
+/// (DESIGN.md decision 5). ScenarioRunner::run hands it every event its
+/// strategies decide, ScenarioRunner::replay every recorded event, and
+/// trace_tools::TraceExecutor every canonical event — so a stream
+/// re-executes exactly the way it was produced. Per event it owns:
+///   * the phase: entering a new one flushes the outgoing phase's batch
+///     under the outgoing fault model, then applies the new phase's
+///     `drop=`/`latency=` model;
+///   * deletion: staged in `batch=k` phases, flushed when the batch is
+///     full, and before any insert or compaction (inserted nodes land on a
+///     healed graph; compaction requires one);
+///   * the per-phase PhaseResult tallies (skipped attempts are reported by
+///     the adversary through skip());
+///   * the id-compaction epoch: compact() plus ProbeEngine::on_compact;
+///   * the slot accounting: live_high_water/peak_slot_count are noted when
+///     the stream moves to a later step and before each compaction, i.e.
+///     once per step after its events — a mid-step population spike is
+///     never observed.
+/// Events of a phase outside the spec (a hand-edited or fuzzed trace) apply
+/// unbatched, keep the current fault model and count in no phase. The
+/// caller checks feasibility first: a delete's victim and an insert's
+/// neighbors must be alive.
+class EventApplier {
+public:
+    /// `spec`, `session` and `probe_engine` must outlive the applier.
+    EventApplier(const ScenarioSpec& spec, core::HealingSession& session,
+                 spectral::ProbeEngine& probe_engine);
+
+    /// Make `phase` current (no-op if it already is). apply() enters each
+    /// event's phase itself; run() also enters phases that hold no event.
+    void enter_phase(std::uint32_t phase);
+
+    /// Apply one event. Returns the id an insert was assigned (the event's
+    /// own `node` for deletes and compactions).
+    graph::NodeId apply(const TraceEvent& event);
+
+    /// Run the repair work the staged batch deferred, if any (run() calls
+    /// it before each cadence sample: probes observe a healed graph).
+    void flush();
+
+    /// Count one adversary attempt of the current phase that produced no
+    /// event (population floor, no victim, no neighbors).
+    void skip();
+
+    /// End of stream: note the last step's slot accounting, flush, and move
+    /// the phase tallies, compaction count and slot accounting into `result`.
+    void finish(RunResult& result);
+
+private:
+    /// The current phase's tally (a discarded one outside the spec).
+    PhaseResult& stats();
+    void note_slots();
+
+    const ScenarioSpec& spec_;
+    core::HealingSession& session_;
+    spectral::ProbeEngine& probe_engine_;
+    std::vector<PhaseResult> phases_;
+    PhaseResult unphased_;  ///< sink for events of a phase outside the spec
+    std::optional<std::uint32_t> phase_;  ///< current phase; none before the first
+    std::size_t batch_ = 1;   ///< current phase's batch width
+    std::size_t staged_ = 0;  ///< deletions staged since the last flush
+    std::optional<std::uint64_t> step_;  ///< step of the last applied event
+    std::size_t compactions_ = 0;
+    std::size_t peak_slot_count_ = 0;
+    std::size_t live_high_water_ = 0;
+};
+
 class ScenarioRunner {
 public:
     /// Build everything from the spec: topology (drawn from the master
@@ -142,9 +217,10 @@ public:
 
     /// Re-apply a recorded event stream instead of consulting the
     /// adversary strategies; phase/metric accounting works as in run().
-    /// Throws std::runtime_error if an insert re-issues a different node id
-    /// than the trace recorded (spec/trace mismatch). The caller compares
-    /// the returned trace_hash and fingerprint against the trace's.
+    /// Throws std::runtime_error on a spec/trace mismatch: a delete of a
+    /// node that is not alive, an insert that re-issues a different node
+    /// id, or a compaction whose recorded live count differs. The caller
+    /// compares the returned trace_hash and fingerprint against the trace's.
     RunResult replay(const Trace& trace);
 
     const ScenarioSpec& spec() const { return spec_; }
@@ -175,6 +251,10 @@ private:
     /// Probes the final sample needs beyond the spec's list: one per
     /// expectation kind.
     Probes final_probes() const;
+
+    /// The tail run() and replay() share once every event is applied: the
+    /// final sample, the probe counters, the fingerprint, the verdict.
+    void finish_result(RunResult& result);
 
     void evaluate_expectations(RunResult& result) const;
 

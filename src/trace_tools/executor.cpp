@@ -26,6 +26,13 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     const core::CloudRegistry* registry = nullptr;
     core::HealingSession session =
         scenario::build_session(spec, rng, nullptr, kappa, registry);
+    // Events go through the runner's own applier, so each one runs under
+    // its phase's fault model exactly as in replay. Batch grouping is a
+    // live-run concept (reproducer specs normalize it to 1): every repair
+    // here completes before the oracles look.
+    ScenarioSpec unbatched = spec;
+    for (auto& phase : unbatched.phases) phase.batch = 1;
+    scenario::EventApplier applier(unbatched, session, probe_engine_);
 
     core::InvariantSuite suite(kappa);
     suite.enable_degree_bound(options_.degree_bound && registry != nullptr);
@@ -55,56 +62,14 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     // ScenarioRunner::replay — it surfaces the same exception, which is the
     // reproduction.
     bool session_dead = false;
-    auto record_exception = [&](const std::exception& e) {
-        result.violations.push_back(
-            {result.applied.size() - 1, "healer-exception", e.what()});
-        session_dead = true;
-    };
 
     std::size_t since_check = 0;
     for (const TraceEvent& event : events) {
-        bool applied = false;
-        TraceEvent canonical;
-        if (event.kind == TraceEvent::Kind::remove) {
-            if (session.current().has_node(event.node) &&
-                session.current().node_count() > options_.min_alive) {
-                canonical = event;
-                // A stray neighbors field on a delete would enter the
-                // stream hash but never survive the JSONL round-trip.
-                canonical.neighbors.clear();
-                canonical.step = result.applied.size();
-                hasher.add(canonical);
-                result.applied.push_back(std::move(canonical));
-                applied = true;
-                try {
-                    session.delete_node(event.node);
-                } catch (const std::exception& e) {
-                    record_exception(e);
-                    break;
-                }
-            }
-        } else if (event.kind == TraceEvent::Kind::compact) {
-            // Epoch boundaries stay in the canonical stream (fuzzed streams
-            // may move them anywhere); the live count is rewritten to what
-            // this execution actually holds, so the canonical event carries
-            // the value strict replay will verify. Compacting an already
-            // dense id space is a valid identity renumbering.
-            canonical = event;
-            canonical.neighbors.clear();
-            canonical.step = result.applied.size();
-            canonical.node =
-                static_cast<graph::NodeId>(session.current().node_count());
-            hasher.add(canonical);
-            result.applied.push_back(std::move(canonical));
-            applied = true;
-            try {
-                probe_engine_.on_compact(session.compact());
-            } catch (const std::exception& e) {
-                record_exception(e);
-                break;
-            }
-        } else {
-            canonical = event;
+        // Canonicalize, or skip the event as infeasible on this session.
+        TraceEvent canonical = event;
+        canonical.step = result.applied.size();
+        bool feasible = true;
+        if (event.kind == TraceEvent::Kind::insert) {
             canonical.neighbors.erase(
                 std::remove_if(canonical.neighbors.begin(), canonical.neighbors.end(),
                                [&](graph::NodeId u) {
@@ -115,32 +80,44 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
             canonical.neighbors.erase(
                 std::unique(canonical.neighbors.begin(), canonical.neighbors.end()),
                 canonical.neighbors.end());
-            if (!canonical.neighbors.empty()) {
-                // Capture the id this insert will get *before* the call:
-                // the session allocates the node (advancing next_id) before
-                // the healer runs, so reading next_id in the catch would be
-                // one past the assigned id.
-                graph::NodeId assigned = session.current().next_id();
-                try {
-                    assigned = session.insert_node(canonical.neighbors);
-                } catch (const std::exception& e) {
-                    canonical.node = assigned;
-                    canonical.step = result.applied.size();
-                    hasher.add(canonical);
-                    result.applied.push_back(std::move(canonical));
-                    record_exception(e);
-                    break;
-                }
-                canonical.node = assigned;
-                canonical.step = result.applied.size();
-                hasher.add(canonical);
-                result.applied.push_back(std::move(canonical));
-                applied = true;
+            feasible = !canonical.neighbors.empty();
+            // The session allocates the id before the healer runs: an
+            // insert that throws has still taken this one.
+            canonical.node = static_cast<graph::NodeId>(session.current().next_id());
+        } else {
+            // A stray neighbors field would enter the stream hash but never
+            // survive the JSONL round-trip.
+            canonical.neighbors.clear();
+            if (event.kind == TraceEvent::Kind::remove) {
+                feasible = session.current().has_node(event.node) &&
+                           session.current().node_count() > options_.min_alive;
+            } else {
+                // Epoch boundaries stay in the canonical stream (fuzzed
+                // streams may move them anywhere); the live count is
+                // rewritten to what this execution holds, so the canonical
+                // event carries the value strict replay will verify.
+                // Compacting a dense id space is an identity renumbering.
+                canonical.node = static_cast<graph::NodeId>(session.current().node_count());
             }
         }
-        if (!applied) {
+        if (!feasible) {
             ++result.skipped;
             continue;
+        }
+
+        std::string exception;
+        try {
+            canonical.node = applier.apply(canonical);
+        } catch (const std::exception& e) {
+            exception = e.what();
+            session_dead = true;
+        }
+        hasher.add(canonical);
+        result.applied.push_back(std::move(canonical));
+        if (session_dead) {
+            result.violations.push_back(
+                {result.applied.size() - 1, "healer-exception", std::move(exception)});
+            break;
         }
 
         ++since_check;

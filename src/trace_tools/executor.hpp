@@ -9,11 +9,13 @@
 // (deleting a dead node, inserting against no live neighbor) and records
 // the events it actually applied as a canonical trace: steps renumbered
 // 0..k-1, insert node ids as the session assigned them, neighbors filtered
-// to the live set. Because the session is built exactly the way
-// ScenarioRunner builds it (master Rng at spec.seed draws the topology,
-// the healer gets its own seed), a canonical trace replays byte-for-byte
-// through `xheal_run replay` against the same spec — that is what makes
-// shrunk reproducers standalone.
+// to the live set. What is left here is canonicalization, exception
+// capture and the oracles: the session is built by the runner's
+// build_session, and every event goes through the runner's EventApplier
+// (over a batch-1 copy of the spec, each event under its phase's fault
+// model). So a canonical trace replays byte-for-byte through `xheal_run
+// replay` against the same spec — that is what makes shrunk reproducers
+// standalone.
 #pragma once
 
 #include <cmath>
@@ -82,9 +84,10 @@ public:
 
     const ExecOptions& options() const { return options_; }
 
-    /// Build a fresh session from `spec` (topology/healer/seed; the phase
-    /// schedule is ignored) and apply `events` best-effort under the
-    /// oracles. Deterministic: same spec + events => same result.
+    /// Build a fresh session from `spec` (topology/healer/seed, plus each
+    /// phase's fault model; the adversary schedule and batch widths are
+    /// ignored) and apply `events` best-effort under the oracles.
+    /// Deterministic: same spec + events => same result.
     ExecResult execute(const scenario::ScenarioSpec& spec,
                        const std::vector<scenario::TraceEvent>& events);
 

@@ -111,7 +111,8 @@ TEST_F(CliContract, RunExitCodes) {
 TEST_F(CliContract, UnknownOptionsAreUsageErrorsBeforeAnythingRuns) {
     // An unrecognised --flag must not be taken for a spec path (which would
     // run every spec first and only then fail to open the "file"), nor for
-    // a batch directory. The removed --probe-mode is the live case.
+    // a batch directory or trace file. The removed --probe-mode is the live
+    // case.
     std::string dir = testing::TempDir() + "cli_batch_unknown";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -121,6 +122,9 @@ TEST_F(CliContract, UnknownOptionsAreUsageErrorsBeforeAnythingRuns) {
         "run " + pass_scn_ + " --probe-mode inline",
         "batch " + dir + " --probe-mode inline",
         "batch --bogus " + dir,
+        "fuzz " + pass_scn_ + " --bogus",
+        "shrink " + faulty_scn_ + " " + trace_path_ + " --bogus",
+        "diff " + trace_path_ + " " + trace_path_ + " --bogus",
     };
     for (const std::string& command : commands) {
         SCOPED_TRACE(command);

@@ -110,12 +110,12 @@ TEST(FailureInjection, InsertionsDuringCascade) {
     session.delete_node(0);
     for (int step = 0; step < 40; ++step) {
         if (step % 4 == 3) {
-            auto alive = session.alive_nodes();
+            const auto& alive = session.alive_pool();
             auto nbrs = rng.sample(alive, std::min<std::size_t>(2, alive.size()));
             std::sort(nbrs.begin(), nbrs.end());
             session.insert_node(nbrs);
         } else if (session.current().node_count() > 4) {
-            auto alive = session.alive_nodes();
+            const auto& alive = session.alive_pool();
             session.delete_node(alive[rng.index(alive.size())]);
         }
         ASSERT_NO_THROW(check_session(session, kappa)) << "step " << step;

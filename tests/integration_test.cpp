@@ -11,6 +11,7 @@
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
 #include "graph/algorithms.hpp"
+#include "scenario/runner.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
 #include "workload/generators.hpp"
@@ -84,7 +85,7 @@ TEST(Integration, ExpansionNeverBelowMinRuleOnSmallGraphs) {
     Graph initial = wl::make_complete(10);
     HealingSession session(initial, std::make_unique<XhealHealer>(XhealConfig{4, 31}));
     for (int step = 0; step < 6; ++step) {
-        auto alive = session.alive_nodes();
+        const auto& alive = session.alive_pool();
         session.delete_node(alive[rng.index(alive.size())]);
         double h_now = spectral::edge_expansion_exact(session.current());
         // Reference graph K10 has h = 5; the rule bottoms out at c >= 1.
@@ -93,15 +94,20 @@ TEST(Integration, ExpansionNeverBelowMinRuleOnSmallGraphs) {
 }
 
 TEST(Integration, HeavyChurnEndsHealthy) {
-    util::Rng rng(37);
-    auto healer = std::make_unique<XhealHealer>(XhealConfig{2, 41});
-    std::size_t kappa = healer->kappa();
-    HealingSession session(wl::make_erdos_renyi(40, 0.12, rng), std::move(healer));
-    adv::RandomDeletion deleter;
-    adv::PreferentialAttach inserter(3);
-    adv::ChurnConfig config{150, 0.5, 8};
-    std::size_t deletions = adv::run_churn(session, deleter, inserter, config, rng);
-    EXPECT_GT(deletions, 30u);
+    // Mixed churn through the scenario engine: every other step a random
+    // victim dies, otherwise a node joins by preferential attachment.
+    auto spec = scenario::ScenarioSpec::parse(R"(
+name heavy-churn
+seed 37
+topology erdos-renyi n=40 p=0.12
+healer xheal d=2 seed=41
+phase churn steps=150 delete_fraction=0.5 deleter=random inserter=preferential-attach k=3 min_nodes=8
+)");
+    scenario::ScenarioRunner runner(spec);
+    auto result = runner.run();
+    EXPECT_GT(result.phases[0].deletions, 30u);
+    const HealingSession& session = runner.session();
+    std::size_t kappa = runner.kappa();
     check_session(session, kappa);
     EXPECT_TRUE(graph::is_connected(session.current()));
     auto ratio = degree_increase(session.current(), session.reference());
@@ -142,7 +148,7 @@ TEST(Integration, MultiSeedStability) {
         std::size_t kappa = healer->kappa();
         HealingSession session(std::move(initial), std::move(healer));
         for (int step = 0; step < 15; ++step) {
-            auto alive = session.alive_nodes();
+            const auto& alive = session.alive_pool();
             session.delete_node(alive[rng.index(alive.size())]);
         }
         EXPECT_NO_THROW(check_session(session, kappa)) << "seed " << seed;

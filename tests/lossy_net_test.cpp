@@ -14,6 +14,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/trace.hpp"
+#include "replay_accounting.hpp"
 
 using namespace xheal;
 using scenario::ScenarioRunner;
@@ -115,6 +116,7 @@ TEST(LossyNet, ReplayReproducesTheBill) {
         EXPECT_EQ(replayed.final_sample.messages, recorded.final_sample.messages);
         EXPECT_EQ(replayed.final_sample.rounds, recorded.final_sample.rounds);
         EXPECT_EQ(replayed.final_sample.retries, recorded.final_sample.retries);
+        test_support::expect_same_accounting(replayed, recorded);
         if (spec.healer.kind == "xheal-dist")
             EXPECT_GT(recorded.final_sample.messages, 0u);
     }

@@ -8,8 +8,7 @@
 //       --trace (single spec only) writes the deterministic JSONL event
 //       trace; --json appends a BENCH_scenarios.json steps/sec + probe-cost
 //       report; --max-steps truncates the schedule after N total steps (CI
-//       smoke runs of large specs such as dex_scale.scn). An unknown --flag
-//       is a usage error, reported before any spec runs.
+//       smoke runs of large specs such as dex_scale.scn).
 //   xheal_run batch <dir> [--healer KIND] [--json FILE] [--max-steps N]
 //             [--jobs N]
 //       Run every *.scn in <dir> (sorted by filename, so reports are
@@ -44,6 +43,9 @@
 //       streams (dex_scale-sized), coarsen the oracle cadence with
 //       --check-every (0 = final-only) — the per-event structural suite is
 //       O(n+m) per event.
+//
+// run, batch, diff, fuzz and shrink reject an unknown --flag as a usage
+// error (exit 2) before they read a file or run anything.
 //
 // Exit-code contract (scripting consumers, incl. CI, rely on this):
 //   0 — success: run PASS, replay match, diff identical, fuzz clean,
@@ -529,6 +531,8 @@ int cmd_diff(const std::vector<std::string>& args) {
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--context") {
             if (++i >= args.size() || !parse_count(args[i], context)) return usage();
+        } else if (is_option(args[i])) {
+            return unknown_option(args[i]);
         } else {
             paths.push_back(args[i]);
         }
@@ -634,6 +638,8 @@ int cmd_fuzz(const std::vector<std::string>& args) {
         } else if (args[i] == "--out") {
             if (++i >= args.size()) return usage();
             out_base = args[i];
+        } else if (is_option(args[i])) {
+            return unknown_option(args[i]);
         } else {
             spec_paths.push_back(args[i]);
         }
@@ -701,6 +707,8 @@ int cmd_shrink(const std::vector<std::string>& args) {
         } else if (args[i] == "--check-every") {
             if (++i >= args.size() || !parse_count(args[i], options.exec.check_every))
                 return usage();
+        } else if (is_option(args[i])) {
+            return unknown_option(args[i]);
         } else {
             paths.push_back(args[i]);
         }
@@ -755,6 +763,8 @@ int cmd_list() {
               << "        [deleter=<kind> | deleter=<k1>:<w1>,<k2>:<w2>] "
                  "[inserter=<kind>]\n"
               << "        [k=K] [deleter.x=v] [inserter.x=v]\n"
+              << "        [batch=K]  (stage K deletions per repair flush)\n"
+              << "        [compact=K]  (renumber ids once next_id >= K x live)\n"
               << "  expect connected | expect <metric> <=|>= <value>\n";
     return 0;
 }
