@@ -7,7 +7,6 @@
 #include "core/metrics.hpp"
 #include "graph/algorithms.hpp"
 #include "spectral/expansion.hpp"
-#include "spectral/laplacian.hpp"
 
 namespace xheal::scenario {
 

@@ -173,4 +173,27 @@ void CsrGraph::normalized_kernel(std::vector<double>& out) const {
     for (double& x : out) x *= inv;
 }
 
+std::size_t CsrGraph::component_count(std::vector<std::uint32_t>& visited,
+                                      std::vector<std::uint32_t>& queue) const {
+    std::size_t n = nodes_.size();
+    visited.assign(n, 0);
+    std::size_t comps = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (visited[i] != 0) continue;
+        ++comps;
+        visited[i] = 1;
+        queue.clear();
+        queue.push_back(i);
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (std::uint32_t v : row(queue[head])) {
+                if (visited[v] == 0) {
+                    visited[v] = 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+    }
+    return comps;
+}
+
 }  // namespace xheal::spectral

@@ -1,11 +1,11 @@
-// Compressed-sparse-row snapshot of the slot graph for the sparse probe
-// layer. The slot-indexed Graph is optimized for mutation under churn; the
-// probes (Lanczos matvecs, BFS sweeps) want a frozen, densely renumbered
-// adjacency in two flat arrays so every traversal is a contiguous scan with
-// no per-node indirection. A CsrGraph is rebuilt from the live graph per
-// probe via build(), which only reuses and never shrinks its buffers —
-// repeated probes over a scenario run perform no steady-state allocations
-// once the population peak has been seen.
+// Compressed-sparse-row snapshot of the slot graph: the one dense numbering
+// and adjacency of the spectral layer. The slot-indexed Graph is optimized
+// for mutation under churn; the spectral code (Lanczos matvecs, the dense
+// Laplacian, BFS sweeps, sweep cuts, random walks) wants a frozen, densely
+// renumbered adjacency in two flat arrays so every traversal is a
+// contiguous scan with no per-node indirection. build() only reuses and
+// never shrinks its buffers — repeated probes over a scenario run perform
+// no steady-state allocations once the population peak has been seen.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +75,11 @@ public:
     /// The unit-norm kernel vector D^{1/2} 1 of the normalized Laplacian,
     /// written into `out` (resized). Empty when the total degree is zero.
     void normalized_kernel(std::vector<double>& out) const;
+
+    /// Connected components by flood fill (0 for the empty snapshot), over
+    /// the caller's visited/work buffers (resized; reused across calls).
+    std::size_t component_count(std::vector<std::uint32_t>& visited,
+                                std::vector<std::uint32_t>& queue) const;
 
     // Raw array views for the patch-vs-rebuild property tests.
     const std::vector<std::uint32_t>& offsets() const { return offsets_; }

@@ -6,11 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "graph/algorithms.hpp"
 #include "spectral/laplacian.hpp"
-#include "spectral/node_index.hpp"
 
 namespace xheal::spectral {
 
@@ -26,15 +24,14 @@ template <typename Visitor>
 void enumerate_cuts(const Graph& g, Visitor&& visit) {
     std::size_t n = g.node_count();
     XHEAL_EXPECTS(n <= exact_expansion_limit);
-    NodeIndex index(g);
-    const auto& nodes = index.nodes;
+    CsrGraph csr;
+    csr.build(g);
 
     std::vector<std::uint32_t> adj_mask(n, 0);
     std::vector<std::size_t> deg(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (NodeId v : g.neighbors(nodes[i]))
-            adj_mask[i] |= (std::uint32_t{1} << index.position[v]);
-        deg[i] = g.degree(nodes[i]);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::uint32_t j : csr.row(i)) adj_mask[i] |= (std::uint32_t{1} << j);
+        deg[i] = csr.degree(i);
     }
 
     std::uint32_t gray = 0;
@@ -95,35 +92,36 @@ SweepResult sweep_cut(const Graph& g, std::uint64_t seed) {
     std::size_t n = g.node_count();
     if (n < 2 || !graph::is_connected(g)) return out;
 
-    auto fr = fiedler(g, LaplacianKind::normalized, seed);
+    CsrGraph csr;
+    csr.build(g);
+    auto fr = fiedler(csr, seed);
     // Rescale y -> D^{-1/2} y: the sweep ordering the Cheeger proof uses.
-    std::vector<double> score(fr.nodes.size());
-    for (std::size_t i = 0; i < fr.nodes.size(); ++i) {
-        double d = static_cast<double>(g.degree(fr.nodes[i]));
-        score[i] = d > 0.0 ? fr.vector[i] / std::sqrt(d) : fr.vector[i];
-    }
-    std::vector<std::size_t> order(fr.nodes.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::vector<double> score(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        score[i] = fr.vector[i] / std::sqrt(static_cast<double>(csr.degree(i)));
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
     std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return score[a] < score[b]; });
+              [&](std::uint32_t a, std::uint32_t b) { return score[a] < score[b]; });
 
-    std::unordered_map<NodeId, std::size_t> position;
-    for (std::size_t r = 0; r < order.size(); ++r) position.emplace(fr.nodes[order[r]], r);
+    // rank[i]: position of dense index i in the sweep order.
+    std::vector<std::size_t> rank(n);
+    for (std::size_t r = 0; r < n; ++r) rank[order[r]] = r;
 
-    std::size_t total_vol = 2 * g.edge_count();
+    std::size_t total_vol = 2 * csr.edge_count();
     std::size_t cut = 0, vol_s = 0;
     double best_h = std::numeric_limits<double>::infinity();
     double best_phi = std::numeric_limits<double>::infinity();
     std::size_t best_phi_prefix = 0;
 
-    for (std::size_t k = 0; k + 1 < order.size(); ++k) {
-        NodeId v = fr.nodes[order[k]];
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+        std::uint32_t v = order[k];
         std::size_t inside = 0;
-        for (NodeId u : g.neighbors(v)) {
-            if (position.at(u) < k) ++inside;
+        for (std::uint32_t u : csr.row(v)) {
+            if (rank[u] < k) ++inside;
         }
-        cut += g.degree(v) - 2 * inside;
-        vol_s += g.degree(v);
+        cut += csr.degree(v) - 2 * inside;
+        vol_s += csr.degree(v);
         std::size_t size_s = k + 1;
         double h = static_cast<double>(cut) /
                    static_cast<double>(std::min(size_s, n - size_s));
@@ -141,7 +139,8 @@ SweepResult sweep_cut(const Graph& g, std::uint64_t seed) {
     out.expansion = best_h;
     out.conductance = best_phi;
     out.best_side.reserve(best_phi_prefix);
-    for (std::size_t r = 0; r < best_phi_prefix; ++r) out.best_side.push_back(fr.nodes[order[r]]);
+    for (std::size_t r = 0; r < best_phi_prefix; ++r)
+        out.best_side.push_back(csr.nodes()[order[r]]);
     return out;
 }
 
@@ -161,7 +160,7 @@ double cheeger_estimate(const Graph& g, std::size_t exact_limit) {
 
 double expansion_spectral_lower_bound(const Graph& g, std::uint64_t seed) {
     if (g.node_count() < 2) return 0.0;
-    double l2 = lambda2(g, LaplacianKind::normalized, seed);
+    double l2 = lambda2(g, seed);
     return 0.5 * l2 * static_cast<double>(g.min_degree());
 }
 

@@ -25,8 +25,8 @@ struct EigenDecomposition {
 std::vector<double> jacobi_eigenvalues(DenseMatrix m, double tolerance = 1e-12,
                                        int max_sweeps = 100);
 
-/// In-place variant for scratch-reusing callers (the probe engine's dense
-/// fallback): `m` is destroyed — rotated to its diagonal — and the
+/// In-place variant for scratch-reusing callers (the dense lambda2 kernel):
+/// `m` is destroyed — rotated to its diagonal — and the
 /// ascending eigenvalues land in `values` (resized; allocation-free once
 /// at capacity). Same requirements and results as jacobi_eigenvalues.
 void jacobi_eigenvalues_inplace(DenseMatrix& m, std::vector<double>& values,

@@ -14,6 +14,11 @@
 
 namespace xheal::spectral {
 
+/// Exhaustive budget: on graphs below this many nodes the Krylov space is
+/// exhausted and the smallest Ritz value is exact to round-off.
+inline constexpr std::size_t exact_lanczos_steps = 160;
+inline constexpr double exact_lanczos_tol = 1e-9;
+
 /// apply(x, y): y = A * x, with x.size() == y.size() == n.
 using LinearOperator =
     std::function<void(const std::vector<double>&, std::vector<double>&)>;
@@ -37,8 +42,8 @@ struct LanczosResult {
 /// the kernel, wrong size) silently falls back to the cold random start.
 LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
                                const std::vector<double>& kernel, util::Rng& rng,
-                               std::size_t max_iterations = 160,
-                               double tolerance = 1e-9,
+                               std::size_t max_iterations = exact_lanczos_steps,
+                               double tolerance = exact_lanczos_tol,
                                const std::vector<double>* warm_start = nullptr);
 
 }  // namespace xheal::spectral

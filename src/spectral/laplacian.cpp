@@ -1,156 +1,99 @@
 #include "spectral/laplacian.hpp"
 
-#include <cmath>
+#include <algorithm>
 
-#include "graph/algorithms.hpp"
 #include "spectral/jacobi.hpp"
-#include "spectral/lanczos.hpp"
-#include "spectral/node_index.hpp"
 
 namespace xheal::spectral {
 
 using graph::Graph;
-using graph::NodeId;
-
-DenseMatrix laplacian_dense(const Graph& g, LaplacianKind kind) {
-    NodeIndex index(g);
-    const auto& nodes = index.nodes;
-
-    DenseMatrix m(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        std::size_t deg_i = g.degree(nodes[i]);
-        if (deg_i == 0) continue;  // isolated vertex: zero row
-        if (kind == LaplacianKind::combinatorial) {
-            m.at(i, i) = static_cast<double>(deg_i);
-            for (NodeId v : g.neighbors(nodes[i])) m.at(i, index.position[v]) = -1.0;
-        } else {
-            m.at(i, i) = 1.0;
-            double di = std::sqrt(static_cast<double>(deg_i));
-            for (NodeId v : g.neighbors(nodes[i])) {
-                double dj = std::sqrt(static_cast<double>(g.degree(v)));
-                m.at(i, index.position[v]) = -1.0 / (di * dj);
-            }
-        }
-    }
-    return m;
-}
-
-std::vector<double> laplacian_spectrum(const Graph& g, LaplacianKind kind) {
-    return jacobi_eigenvalues(laplacian_dense(g, kind));
-}
 
 namespace {
 
-/// Kernel (eigenvalue-0 eigenvector) of the Laplacian of a connected graph:
-/// all-ones for the combinatorial kind, D^{1/2} 1 for the normalized kind.
-/// Unit norm. Empty if the total degree is zero.
-std::vector<double> kernel_vector(const Graph& g, const std::vector<NodeId>& nodes,
-                                  LaplacianKind kind) {
-    std::vector<double> k(nodes.size(), 0.0);
-    double sq = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        double entry = kind == LaplacianKind::combinatorial
-                           ? 1.0
-                           : std::sqrt(static_cast<double>(g.degree(nodes[i])));
-        k[i] = entry;
-        sq += entry * entry;
+/// The one dense materializer: csr's Laplacian into `m`, reset to n x n.
+/// Isolated vertices contribute zero rows in both conventions. A normalized
+/// entry is the product isd_i * isd_j, which commutes, so the matrix is
+/// exactly symmetric by construction.
+void laplacian_dense(const CsrGraph& csr, LaplacianKind kind, DenseMatrix& m) {
+    std::size_t n = csr.size();
+    m.reset(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        double isd_i = csr.inv_sqrt_deg(i);
+        if (isd_i == 0.0) continue;  // isolated vertex: zero row
+        if (kind == LaplacianKind::combinatorial) {
+            m.at(i, i) = static_cast<double>(csr.degree(i));
+            for (std::uint32_t j : csr.row(i)) m.at(i, j) = -1.0;
+        } else {
+            m.at(i, i) = 1.0;
+            for (std::uint32_t j : csr.row(i)) m.at(i, j) = -isd_i * csr.inv_sqrt_deg(j);
+        }
     }
-    if (sq <= 0.0) return {};
-    double inv = 1.0 / std::sqrt(sq);
-    for (double& x : k) x *= inv;
-    return k;
-}
-
-FiedlerResult fiedler_dense(const Graph& g, LaplacianKind kind,
-                            const std::vector<NodeId>& nodes) {
-    auto eig = jacobi_eigen(laplacian_dense(g, kind));
-    FiedlerResult out;
-    out.nodes = nodes;
-    if (eig.values.size() < 2) {
-        out.lambda2 = 0.0;
-        out.vector.assign(nodes.size(), 0.0);
-        return out;
-    }
-    out.lambda2 = eig.values[1];
-    out.vector.resize(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) out.vector[i] = eig.vectors.at(i, 1);
-    return out;
-}
-
-FiedlerResult fiedler_lanczos(const Graph& g, LaplacianKind kind,
-                              const std::vector<NodeId>& nodes, std::uint64_t seed) {
-    NodeIndex index(g);
-    const std::vector<std::size_t>& position = index.position;
-
-    // Pre-resolve the sparse structure once: neighbor index lists.
-    std::vector<std::vector<std::size_t>> nbrs(nodes.size());
-    std::vector<double> inv_sqrt_deg(nodes.size(), 0.0);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        auto row = g.neighbors(nodes[i]);
-        nbrs[i].reserve(row.size());
-        for (NodeId v : row) nbrs[i].push_back(position[v]);
-        if (!row.empty()) inv_sqrt_deg[i] = 1.0 / std::sqrt(static_cast<double>(row.size()));
-    }
-
-    LinearOperator apply;
-    if (kind == LaplacianKind::combinatorial) {
-        apply = [&nbrs](const std::vector<double>& x, std::vector<double>& y) {
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                double acc = static_cast<double>(nbrs[i].size()) * x[i];
-                for (std::size_t j : nbrs[i]) acc -= x[j];
-                y[i] = acc;
-            }
-        };
-    } else {
-        apply = [&nbrs, &inv_sqrt_deg](const std::vector<double>& x, std::vector<double>& y) {
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                if (nbrs[i].empty()) {
-                    y[i] = 0.0;
-                    continue;
-                }
-                double acc = x[i];
-                double scale_i = inv_sqrt_deg[i];
-                for (std::size_t j : nbrs[i]) acc -= scale_i * inv_sqrt_deg[j] * x[j];
-                y[i] = acc;
-            }
-        };
-    }
-
-    util::Rng rng(seed);
-    auto kernel = kernel_vector(g, nodes, kind);
-    auto res = lanczos_smallest(apply, nodes.size(), kernel, rng);
-
-    FiedlerResult out;
-    out.nodes = nodes;
-    out.lambda2 = std::max(0.0, res.value);  // clamp tiny negative round-off
-    out.vector = std::move(res.vector);
-    return out;
 }
 
 }  // namespace
 
-FiedlerResult fiedler(const Graph& g, LaplacianKind kind, std::uint64_t seed) {
-    auto view = g.nodes();
-    std::vector<NodeId> nodes(view.begin(), view.end());
-    if (nodes.size() < 2) {
-        FiedlerResult out;
-        out.nodes = nodes;
-        out.vector.assign(nodes.size(), 0.0);
-        return out;
-    }
-    if (!graph::is_connected(g)) {
-        FiedlerResult out;
-        out.nodes = nodes;
-        out.lambda2 = 0.0;
-        out.vector.assign(nodes.size(), 0.0);
-        return out;
-    }
-    if (nodes.size() <= dense_spectral_limit) return fiedler_dense(g, kind, nodes);
-    return fiedler_lanczos(g, kind, nodes, seed);
+std::vector<double> laplacian_spectrum(const Graph& g, LaplacianKind kind) {
+    CsrGraph csr;
+    csr.build(g);
+    DenseMatrix m;
+    laplacian_dense(csr, kind, m);
+    return jacobi_eigenvalues(std::move(m));
 }
 
-double lambda2(const Graph& g, LaplacianKind kind, std::uint64_t seed) {
-    return fiedler(g, kind, seed).lambda2;
+double dense_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
+                     std::vector<double>* fiedler_vector) {
+    std::size_t n = csr.size();
+    if (n < 2) return 0.0;
+    laplacian_dense(csr, LaplacianKind::normalized, scratch.dense);
+    if (fiedler_vector == nullptr) {
+        jacobi_eigenvalues_inplace(scratch.dense, scratch.values);
+        return std::max(0.0, scratch.values[1]);
+    }
+    // The rotations never read the accumulated vectors, so the eigenvalues
+    // are bitwise those of the values-only solve above.
+    auto eig = jacobi_eigen(scratch.dense);
+    fiedler_vector->resize(n);
+    for (std::size_t i = 0; i < n; ++i) (*fiedler_vector)[i] = eig.vectors.at(i, 1);
+    return std::max(0.0, eig.values[1]);
 }
+
+LanczosResult lanczos_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
+                              std::uint64_t seed, std::size_t max_iterations,
+                              double tolerance, const std::vector<double>* warm_start) {
+    if (csr.size() < 2 || csr.component_count(scratch.visited, scratch.queue) > 1) return {};
+    csr.normalized_kernel(scratch.kernel);
+    util::Rng rng(seed);
+    LinearOperator apply = [&csr, &scratch](const std::vector<double>& x,
+                                            std::vector<double>& y) {
+        csr.apply_normalized_laplacian(x, y, scratch.scaled);
+    };
+    auto result = lanczos_smallest(apply, csr.size(), scratch.kernel, rng, max_iterations,
+                                   tolerance, warm_start);
+    result.value = std::max(0.0, result.value);  // clamp tiny negative round-off
+    return result;
+}
+
+FiedlerResult fiedler(const CsrGraph& csr, std::uint64_t seed) {
+    FiedlerResult out;
+    out.vector.assign(csr.size(), 0.0);
+    SpectralScratch scratch;
+    if (csr.size() < 2 || csr.component_count(scratch.visited, scratch.queue) > 1) return out;
+    if (csr.size() <= dense_spectral_limit) {
+        out.lambda2 = dense_lambda2(csr, scratch, &out.vector);
+        return out;
+    }
+    auto result = lanczos_lambda2(csr, scratch, seed);
+    out.lambda2 = result.value;
+    out.vector = std::move(result.vector);
+    return out;
+}
+
+FiedlerResult fiedler(const Graph& g, std::uint64_t seed) {
+    CsrGraph csr;
+    csr.build(g);
+    return fiedler(csr, seed);
+}
+
+double lambda2(const Graph& g, std::uint64_t seed) { return fiedler(g, seed).lambda2; }
 
 }  // namespace xheal::spectral

@@ -1,17 +1,31 @@
-// Graph Laplacians and the algebraic-connectivity front-end.
+// Graph Laplacians and the one spectral pipeline behind every lambda2.
 //
 // The paper's lambda(G) (Theorem 1, Theorem 2(4)) is the second-smallest
 // eigenvalue of the *normalized* Laplacian L = I - D^{-1/2} A D^{-1/2}
 // (Chung's convention, which the Cheeger inequality 2*phi >= lambda >
-// phi^2/2 requires). The combinatorial Laplacian D - A is also provided for
-// tests against closed-form spectra.
+// phi^2/2 requires). Every solve runs over a CsrGraph snapshot through one
+// of two kernels:
+//
+//   * dense_lambda2()   — materializes L from the snapshot and runs Jacobi;
+//                         the path at or below dense_spectral_limit nodes.
+//   * lanczos_lambda2() — matrix-free Lanczos on CsrGraph's normalized
+//                         Laplacian apply with the D^{1/2} 1 kernel deflated,
+//                         behind a connectivity gate; the path above it.
+//
+// The ProbeEngine (probes.hpp) calls them at its probe budget with a warm
+// start; the free fiedler()/lambda2() below call them at the exhaustive
+// budget, cold. The combinatorial Laplacian D - A survives only in
+// laplacian_spectrum(), the dense oracle for tests against closed-form
+// spectra.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "spectral/csr.hpp"
 #include "spectral/dense_matrix.hpp"
-#include "util/rng.hpp"
+#include "spectral/lanczos.hpp"
 
 namespace xheal::spectral {
 
@@ -20,35 +34,60 @@ enum class LaplacianKind {
     normalized,     ///< I - D^{-1/2} A D^{-1/2}
 };
 
-/// Dense Laplacian with rows/columns in graph.nodes() order (ascending id).
-/// Isolated vertices contribute an all-zero row in both conventions.
-DenseMatrix laplacian_dense(const graph::Graph& g, LaplacianKind kind);
+/// Node count at or below which lambda2 is solved by the dense kernel.
+inline constexpr std::size_t dense_spectral_limit = 160;
 
 /// All Laplacian eigenvalues (ascending) via Jacobi; n <= ~400 advised.
+/// Isolated vertices contribute an all-zero row in both conventions.
 std::vector<double> laplacian_spectrum(const graph::Graph& g, LaplacianKind kind);
+
+/// Reusable buffers of both kernels. Buffers only grow, so a caller that
+/// keeps one across solves allocates nothing once at capacity.
+struct SpectralScratch {
+    DenseMatrix dense;                  ///< materialized Laplacian (dense kernel)
+    std::vector<double> values;         ///< Jacobi eigenvalues (dense kernel)
+    std::vector<double> kernel;         ///< D^{1/2} 1 (Lanczos kernel)
+    std::vector<double> scaled;         ///< the apply's D^{-1/2} x pass
+    std::vector<std::uint32_t> visited; ///< connectivity gate flood fill
+    std::vector<std::uint32_t> queue;
+};
+
+/// The dense kernel: lambda2 of csr's normalized Laplacian by Jacobi,
+/// clamped at 0 (0 below two nodes). No connectivity gate: a disconnected
+/// snapshot reads as its round-off-level second eigenvalue. When
+/// `fiedler_vector` is non-null it receives lambda2's eigenvector, aligned
+/// with csr.nodes().
+double dense_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
+                     std::vector<double>* fiedler_vector = nullptr);
+
+/// The Lanczos kernel: smallest eigenpair of csr's normalized Laplacian
+/// orthogonal to D^{1/2} 1, value clamped at 0, Ritz vector aligned with
+/// csr.nodes(). The gate returns value 0 and an empty vector when csr has
+/// fewer than two nodes or more than one component. Deterministic given
+/// the seed and `warm_start` (see lanczos_smallest).
+LanczosResult lanczos_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
+                              std::uint64_t seed,
+                              std::size_t max_iterations = exact_lanczos_steps,
+                              double tolerance = exact_lanczos_tol,
+                              const std::vector<double>* warm_start = nullptr);
 
 struct FiedlerResult {
     double lambda2 = 0.0;
-    /// Eigenvector entries aligned with `nodes`; for the normalized
-    /// kind this is the raw eigenvector y (sweep callers rescale by
-    /// D^{-1/2} themselves).
+    /// The raw eigenvector y of the normalized Laplacian, aligned with the
+    /// snapshot's nodes() — ascending id (sweep callers rescale by D^{-1/2}
+    /// themselves). All zeros for graphs with < 2 nodes or more than one
+    /// component.
     std::vector<double> vector;
-    std::vector<graph::NodeId> nodes;
 };
 
-/// Second-smallest Laplacian eigenvalue. Dense Jacobi for small graphs,
-/// sparse Lanczos (never materializing the matrix) for large ones.
-/// Returns 0 for graphs with < 2 nodes and (numerically) for disconnected
-/// graphs. Deterministic given the seed.
-double lambda2(const graph::Graph& g, LaplacianKind kind = LaplacianKind::normalized,
-               std::uint64_t seed = 12345);
+/// lambda2 of the normalized Laplacian together with the Fiedler vector:
+/// the dense kernel at or below dense_spectral_limit nodes, the Lanczos
+/// kernel at the exhaustive budget above it. Exactly 0 for < 2 nodes and
+/// for disconnected graphs. Deterministic given the seed.
+FiedlerResult fiedler(const CsrGraph& csr, std::uint64_t seed = 12345);
+FiedlerResult fiedler(const graph::Graph& g, std::uint64_t seed = 12345);
 
-/// lambda2 together with the Fiedler vector (for sweep cuts).
-FiedlerResult fiedler(const graph::Graph& g,
-                      LaplacianKind kind = LaplacianKind::normalized,
-                      std::uint64_t seed = 12345);
-
-/// Threshold (node count) below which the dense path is used.
-inline constexpr std::size_t dense_spectral_limit = 160;
+/// fiedler(g, seed).lambda2.
+double lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
 
 }  // namespace xheal::spectral

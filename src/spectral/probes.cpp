@@ -3,42 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "spectral/jacobi.hpp"
-#include "spectral/lanczos.hpp"
-
 namespace xheal::spectral {
 
 using graph::Graph;
 using graph::NodeId;
-
-namespace {
-
-/// Flood-fill component count over a built snapshot, reusing the caller's
-/// visited/work buffers.
-std::size_t count_components(const CsrGraph& csr, std::vector<std::uint32_t>& visited,
-                             std::vector<std::uint32_t>& queue) {
-    std::size_t n = csr.size();
-    visited.assign(n, 0);
-    std::size_t comps = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        if (visited[i] != 0) continue;
-        ++comps;
-        visited[i] = 1;
-        queue.clear();
-        queue.push_back(i);
-        for (std::size_t head = 0; head < queue.size(); ++head) {
-            for (std::uint32_t v : csr.row(queue[head])) {
-                if (visited[v] == 0) {
-                    visited[v] = 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    return comps;
-}
-
-}  // namespace
 
 void IncrementalSnapshot::sync(const Graph& g) {
     if (force_rebuild_ || graph_ != &g) {
@@ -77,65 +45,16 @@ void ProbeEngine::sync(const Graph& g) {
 double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
     if (g.node_count() < 2) return 0.0;
     sync(g);
-    if (snap_.csr().size() <= dense_limit_) return lambda2_dense_csr(snap_.csr());
-    return lambda2_sparse_csr(snap_.csr(), seed, probe_lanczos_steps, probe_lambda2_tol,
-                              /*warm=*/true);
-}
-
-double ProbeEngine::lambda2_dense(const Graph& g) {
-    if (g.node_count() < 2) return 0.0;
-    sync(g);
-    return lambda2_dense_csr(snap_.csr());
-}
-
-double ProbeEngine::lambda2_dense_csr(const CsrGraph& csr) {
-    std::size_t n = csr.size();
-    if (n < 2) return 0.0;
-    // Materialize I - D^{-1/2} A D^{-1/2} straight from the snapshot into
-    // the reused scratch matrix (isolated vertices contribute zero rows,
-    // matching laplacian_dense's convention). The product isd_i * isd_j is
-    // commutative, so the matrix is exactly symmetric by construction.
-    dense_scratch_.reset(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        double isd_i = csr.inv_sqrt_deg(i);
-        if (isd_i == 0.0) continue;  // isolated vertex: zero row
-        dense_scratch_.at(i, i) = 1.0;
-        for (std::uint32_t j : csr.row(i))
-            dense_scratch_.at(i, j) = -isd_i * csr.inv_sqrt_deg(j);
-    }
-    jacobi_eigenvalues_inplace(dense_scratch_, dense_values_);
-    return std::max(0.0, dense_values_[1]);
-}
-
-double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
-                                       std::size_t max_iterations, double tolerance,
-                                       bool warm) {
-    if (csr.size() < 2) return 0.0;
-    if (count_components(csr, gate_visited_, gate_queue_) > 1) return 0.0;
-
-    csr.normalized_kernel(kernel_);
-    util::Rng rng(seed);
-    LinearOperator apply = [this, &csr](const std::vector<double>& x,
-                                        std::vector<double>& y) {
-        csr.apply_normalized_laplacian(x, y, scaled_);
-    };
-    const std::vector<double>* warm_start = warm ? build_warm_start(csr) : nullptr;
-    auto result = lanczos_smallest(apply, csr.size(), kernel_, rng, max_iterations,
-                                   tolerance, warm_start);
-    if (warm) {
+    const CsrGraph& csr = snap_.csr();
+    if (csr.size() <= dense_spectral_limit) return dense_lambda2(csr, spectral_);
+    auto result = lanczos_lambda2(csr, spectral_, seed, probe_lanczos_steps,
+                                  probe_lambda2_tol, build_warm_start(csr));
+    if (!result.vector.empty()) {  // gated solves leave the warm state alone
         warm_ids_.assign(csr.nodes().begin(), csr.nodes().end());
         warm_vec_ = std::move(result.vector);
         has_warm_ = true;
     }
-    return std::max(0.0, result.value);
-}
-
-double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed,
-                                   std::size_t max_iterations, double tolerance) {
-    if (g.node_count() < 2) return 0.0;
-    sync(g);
-    return lambda2_sparse_csr(snap_.csr(), seed, max_iterations, tolerance,
-                              /*warm=*/false);
+    return result.value;
 }
 
 const std::vector<double>* ProbeEngine::build_warm_start(const CsrGraph& csr) {
@@ -161,7 +80,7 @@ const std::vector<double>* ProbeEngine::build_warm_start(const CsrGraph& csr) {
 
 std::size_t ProbeEngine::component_count(const Graph& g) {
     sync(g);
-    return count_components(snap_.csr(), dist_, queue_);
+    return snap_.csr().component_count(dist_, queue_);
 }
 
 // ----- stretch -----
@@ -187,9 +106,9 @@ void ProbeEngine::bfs(const CsrGraph& csr, std::uint32_t src,
 double ProbeEngine::sampled_stretch(const Graph& g, const Graph& ref,
                                     std::size_t budget, util::Rng& rng) {
     sync(g);
-    // The reference only follows the incremental protocol when the caller
-    // feeds note_reference(); otherwise fall back to rebuild-per-call.
-    if (!incremental_) ref_snap_.invalidate();
+    // Inside a batch the reference follows note_reference(); outside one it
+    // is rebuilt, like the main snapshot.
+    if (batch_graph_ != &g) ref_snap_.invalidate();
     ref_snap_.sync(ref);
     const CsrGraph& csr = snap_.csr();
     const CsrGraph& ref_csr = ref_snap_.csr();

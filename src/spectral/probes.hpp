@@ -1,23 +1,21 @@
 // ProbeEngine — the sparse, scratch-reusing metric probe layer that lets
 // scenario runs sample spectral and stretch metrics at n = 1e5+.
 //
-// The engine owns incremental CSR snapshots (csr.hpp) plus flat BFS/Lanczos
-// scratch. A snapshot is either rebuilt per probe (the legacy path: callers
-// that mutate the graph arbitrarily between probes) or patched forward from
-// the graph's structure journal (the incremental path: the ScenarioRunner
+// The engine owns incremental CSR snapshots (csr.hpp) plus flat BFS scratch
+// and the spectral kernels' scratch. Inside a sample batch the snapshot is
+// patched forward from the graph's structure journal (the ScenarioRunner
 // hands begin_sample the delta accumulated since the previous sample, and
-// only the touched rows are rewritten). Buffers only grow, so steady-state
-// probing allocates nothing once the population peak has been seen.
+// only the touched rows are rewritten); a probe outside a batch rebuilds
+// it. Buffers only grow, so steady-state probing allocates nothing once the
+// population peak has been seen.
 //
-//   * lambda2()        — algebraic connectivity of the normalized Laplacian.
-//                        Dense Jacobi below `dense_limit` nodes (small
-//                        graphs, exact), matrix-free Lanczos on the implicit
-//                        CSR operator above it, with the D^{1/2} 1 kernel
-//                        deflated. The auto path warm-starts each solve from
-//                        the previous sample's Ritz vector when at least
-//                        half its support is still alive. Selection is
-//                        automatic; the _dense/_sparse entry points force
-//                        one path cold (property tests compare them to 1e-6).
+//   * lambda2()        — algebraic connectivity of the normalized Laplacian
+//                        through the shared kernels of laplacian.hpp: the
+//                        dense kernel at or below dense_spectral_limit
+//                        nodes, the Lanczos kernel at the probe budget above
+//                        it, warm-started from the previous solve's Ritz
+//                        vector when at least half its support is still
+//                        alive.
 //   * component_count() — connected components via CSR BFS (flat arrays, no
 //                        hashing), the probe behind `connected`.
 //   * sampled_stretch() — the paper's network-stretch metric over a fixed
@@ -33,9 +31,8 @@
 // Threading: inside a begin_sample batch, once sync(g) has frozen the
 // snapshot, lambda2(g) may run on one thread while component_count(g) and
 // sampled_stretch() run on another. lambda2 only reads the frozen snapshot
-// and writes scratch no other probe touches (its own connectivity-gate
-// buffers, the kernel, the spmv pass, the warm-start state and the dense
-// scratch). No other pair of calls may overlap.
+// and writes scratch no other probe touches (the kernels' SpectralScratch
+// and the warm-start state). No other pair of calls may overlap.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +40,7 @@
 
 #include "graph/graph.hpp"
 #include "spectral/csr.hpp"
-#include "spectral/dense_matrix.hpp"
+#include "spectral/laplacian.hpp"
 #include "util/rng.hpp"
 
 namespace xheal::spectral {
@@ -95,10 +92,7 @@ private:
 
 class ProbeEngine {
 public:
-    /// Node count at or below which lambda2() uses the dense Jacobi path.
-    static constexpr std::size_t default_dense_limit = 160;
-
-    /// Lanczos step budget of the auto lambda2() probe. lambda2 of an
+    /// Lanczos step budget of the lambda2() probe. lambda2 of an
     /// expander sits at the edge of the spectral bulk (no eigengap), so the
     /// iteration converges only polynomially there; 64 steps land within
     /// ~0.5% of the exhaustive answer at n = 1e5 for ~1/6 of the cost, which
@@ -106,7 +100,7 @@ public:
     /// above, so probe readings are a slight over-estimate.
     static constexpr std::size_t probe_lanczos_steps = 64;
 
-    /// Convergence tolerance of the auto lambda2() probe. At probe scale the
+    /// Convergence tolerance of the lambda2() probe. At probe scale the
     /// bottom of the spectrum is a cluster (edge of the bulk), so the
     /// intrinsic bias of the step budget above is already ~1e-3; asking
     /// Lanczos for more digits than that burns the full budget every sample
@@ -116,28 +110,12 @@ public:
     /// expectations (`expect lambda2 >= x`) sit orders of magnitude away.
     static constexpr double probe_lambda2_tol = 2e-3;
 
-    /// Exhaustive budget used by lambda2_sparse(): below this many nodes the
-    /// Krylov space is exhausted and the value is exact to round-off, which
-    /// is what the sparse-vs-dense property tests compare at 1e-6.
-    static constexpr std::size_t exact_lanczos_steps = 160;
-
-    explicit ProbeEngine(std::size_t dense_limit = default_dense_limit)
-        : dense_limit_(dense_limit) {}
-
-    /// lambda2 of the normalized Laplacian; 0 for < 2 nodes or disconnected
-    /// graphs. Deterministic given the seed. Auto-selects dense Jacobi below
-    /// dense_limit() nodes and budgeted Lanczos (probe_lanczos_steps) above,
-    /// warm-started from the previous auto solve when possible.
+    /// lambda2 of the normalized Laplacian; 0 for < 2 nodes (and, above
+    /// dense_spectral_limit, for disconnected graphs). Deterministic given
+    /// the seed and the warm-start chain: the dense kernel at or below
+    /// dense_spectral_limit nodes, the Lanczos kernel at the probe budget
+    /// above it, warm-started from the previous solve when possible.
     double lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
-
-    /// Force the dense Jacobi path (any size; O(n^3), small graphs only).
-    double lambda2_dense(const graph::Graph& g);
-
-    /// Force the matrix-free CSR Lanczos path (any size >= 2) with an
-    /// explicit step budget (exhaustive by default). Always cold-starts.
-    double lambda2_sparse(const graph::Graph& g, std::uint64_t seed = 12345,
-                          std::size_t max_iterations = exact_lanczos_steps,
-                          double tolerance = 1e-9);
 
     /// Connected-component count via CSR BFS (0 for the empty graph).
     std::size_t component_count(const graph::Graph& g);
@@ -150,30 +128,21 @@ public:
     double sampled_stretch(const graph::Graph& g, const graph::Graph& ref,
                            std::size_t budget, util::Rng& rng);
 
-    /// Batch scope: between begin_sample(g) and end_sample(), the CSR
+    /// Batch scope: between begin_sample(g, ...) and end_sample(), the CSR
     /// snapshot of g is synced lazily on first use (or eagerly by sync())
     /// and then shared by every probe in the batch (the caller vouches that
-    /// g does not mutate). Outside a batch each probe rebuilds the snapshot
-    /// itself.
-    ///
-    /// The journal-free overload discards any incremental state (the delta
-    /// since the last sample is unknown) and rebuilds. The journal overload
-    /// is the incremental path: `dirty` is g's structure journal since the
-    /// previous begin_sample, and the sync patches instead of rebuilding.
-    void begin_sample(const graph::Graph& g) {
-        batch_graph_ = &g;
-        snapshot_valid_ = false;
-        incremental_ = false;
-        snap_.invalidate();
-    }
+    /// g does not mutate). `dirty` is g's structure journal since the
+    /// previous begin_sample, so the sync patches instead of rebuilding.
+    /// Outside a batch each probe rebuilds the snapshots itself, the
+    /// stretch probe's reference included.
     void begin_sample(const graph::Graph& g, const std::vector<graph::NodeId>& dirty,
                       bool journal_overflowed) {
         batch_graph_ = &g;
         snapshot_valid_ = false;
-        incremental_ = true;
         snap_.note(g, dirty, journal_overflowed);
     }
-    /// Incremental-path companion for the stretch probe's reference graph.
+    /// Batch companion for the stretch probe's reference graph: its journal
+    /// since the previous batch. A batch that samples stretch must feed it.
     void note_reference(const graph::Graph& ref, const std::vector<graph::NodeId>& dirty,
                         bool journal_overflowed) {
         ref_snap_.note(ref, dirty, journal_overflowed);
@@ -225,19 +194,7 @@ public:
         return snap_.patched_events() + ref_snap_.patched_events();
     }
 
-    std::size_t dense_limit() const { return dense_limit_; }
-
 private:
-    /// lambda2 via CSR Lanczos, optionally warm-started from (and feeding)
-    /// the previous auto solve's Ritz vector.
-    double lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
-                              std::size_t max_iterations, double tolerance,
-                              bool warm);
-
-    /// Dense Jacobi over the snapshot's normalized Laplacian, materialized
-    /// into the reused scratch matrix (no per-call allocation at capacity).
-    double lambda2_dense_csr(const CsrGraph& csr);
-
     /// Scatter the stored Ritz vector onto csr's dense indexing (zeros for
     /// rows with no stored entry). Returns null when absent or fewer than
     /// half of csr's rows carry a stored value — too stale to help.
@@ -247,33 +204,24 @@ private:
     /// `dist` is resized and re-initialized; `queue` is the work list.
     void bfs(const CsrGraph& csr, std::uint32_t src, std::vector<std::uint32_t>& dist);
 
-    std::size_t dense_limit_;
     const graph::Graph* batch_graph_ = nullptr;
     bool snapshot_valid_ = false;
-    bool incremental_ = false;
     IncrementalSnapshot snap_;
     IncrementalSnapshot ref_snap_;
-    std::vector<double> kernel_;
     std::vector<std::uint32_t> dist_;
     std::vector<std::uint32_t> ref_dist_;
     std::vector<std::uint32_t> queue_;
     std::vector<graph::NodeId> sources_;
-    // lambda2's connectivity gate has its own flood-fill scratch, so the
+    // The kernels' scratch (dense matrix, Lanczos kernel and spmv pass, the
+    // connectivity gate's flood fill) belongs to lambda2 alone, so the
     // solve shares no buffer with the components and stretch probes.
-    std::vector<std::uint32_t> gate_visited_;
-    std::vector<std::uint32_t> gate_queue_;
-    // Warm-start state: the previous auto-path Ritz vector keyed by node id.
+    SpectralScratch spectral_;
+    // Warm-start state: the previous Lanczos solve's Ritz vector keyed by
+    // node id.
     std::vector<graph::NodeId> warm_ids_;
     std::vector<double> warm_vec_;
     std::vector<double> start_;
     bool has_warm_ = false;
-    // Dense-path scratch: work matrix + eigenvalue buffer, reused across
-    // samples so the small-graph fallback stops re-allocating O(n^2) per
-    // probe. `scaled_` is the spmv's D^{-1/2}x pass, owned here rather than
-    // by the shared snapshot so the solve writes only lambda2 scratch.
-    DenseMatrix dense_scratch_;
-    std::vector<double> dense_values_;
-    std::vector<double> scaled_;
 };
 
 }  // namespace xheal::spectral

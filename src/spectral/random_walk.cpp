@@ -3,8 +3,8 @@
 #include <cmath>
 #include <limits>
 
+#include "spectral/csr.hpp"
 #include "spectral/laplacian.hpp"
-#include "spectral/node_index.hpp"
 #include "util/expects.hpp"
 
 namespace xheal::spectral {
@@ -14,23 +14,21 @@ using graph::NodeId;
 
 namespace {
 
-/// One lazy-walk step with the dense index prebuilt, so mixing-time loops
+/// One lazy-walk step over a prebuilt snapshot, so mixing-time loops
 /// don't rebuild it every step.
-std::vector<double> lazy_walk_step_indexed(const Graph& g, const std::vector<double>& p,
-                                           const NodeIndex& index) {
-    const auto& nodes = index.nodes;
+std::vector<double> lazy_walk_step_csr(const CsrGraph& csr, const std::vector<double>& p) {
     std::vector<double> next(p.size(), 0.0);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::uint32_t i = 0; i < csr.size(); ++i) {
         double mass = p[i];
         if (mass == 0.0) continue;
-        std::size_t deg = g.degree(nodes[i]);
+        std::size_t deg = csr.degree(i);
         if (deg == 0) {
             next[i] += mass;  // isolated vertex holds its mass
             continue;
         }
         next[i] += 0.5 * mass;
         double share = 0.5 * mass / static_cast<double>(deg);
-        for (NodeId u : g.neighbors(nodes[i])) next[index.position[u]] += share;
+        for (std::uint32_t j : csr.row(i)) next[j] += share;
     }
     return next;
 }
@@ -48,7 +46,9 @@ std::vector<double> stationary_distribution(const Graph& g) {
 
 std::vector<double> lazy_walk_step(const Graph& g, const std::vector<double>& p) {
     XHEAL_EXPECTS(p.size() == g.node_count());
-    return lazy_walk_step_indexed(g, p, NodeIndex(g));
+    CsrGraph csr;
+    csr.build(g);
+    return lazy_walk_step_csr(csr, p);
 }
 
 double total_variation(const std::vector<double>& a, const std::vector<double>& b) {
@@ -64,12 +64,13 @@ std::optional<std::size_t> mixing_time(const Graph& g, NodeId source, double eps
     XHEAL_EXPECTS(epsilon > 0.0);
     if (g.edge_count() == 0) return std::nullopt;
     auto pi = stationary_distribution(g);
-    NodeIndex index(g);
+    CsrGraph csr;
+    csr.build(g);
     std::vector<double> p(g.node_count(), 0.0);
-    p[index.position[source]] = 1.0;
+    p[csr.index_of(source)] = 1.0;
     for (std::size_t t = 0; t <= max_steps; ++t) {
         if (total_variation(p, pi) <= epsilon) return t;
-        p = lazy_walk_step_indexed(g, p, index);
+        p = lazy_walk_step_csr(csr, p);
     }
     return std::nullopt;
 }
@@ -86,7 +87,7 @@ std::optional<std::size_t> mixing_time_worst(const Graph& g, double epsilon,
 }
 
 double spectral_mixing_bound(const Graph& g, double epsilon) {
-    double l2 = lambda2(g, LaplacianKind::normalized);
+    double l2 = lambda2(g);
     if (l2 <= 0.0) return std::numeric_limits<double>::infinity();
     double n = static_cast<double>(g.node_count());
     return (2.0 / l2) * std::log(n / epsilon);

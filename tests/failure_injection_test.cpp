@@ -85,7 +85,7 @@ TEST(FailureInjection, CascadeToMinimumGraph) {
             std::size_t best = 0;
             for (NodeId v : g.nodes()) {
                 std::size_t colored = 0;
-                for (const auto& [u, claims] : g.adjacency(v)) {
+                for (const auto& [u, claims] : g.row(v)) {
                     (void)u;
                     if (claims.colored()) ++colored;
                 }

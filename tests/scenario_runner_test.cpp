@@ -240,19 +240,29 @@ TEST(ScenarioRunner, ForkedProbeValuesArePinnedBitwise) {
     // rng order — fails here. Under TSan this is the fork's race check.
     struct Pin {
         std::size_t step, components;
-        std::uint64_t lambda2, stretch;
+        std::uint64_t lambda2, stretch, expansion;
     };
     const Pin pins[] = {
-        {30, 1, 0x3fde94b9bb159704ull, 0x3ff0000000000000ull},
-        {60, 1, 0x3fe2294600f04154ull, 0x3ff0000000000000ull},
-        {90, 1, 0x3fdc9a7c83c7f856ull, 0x3ff8000000000000ull},
-        {120, 1, 0x3fdc69067e591af3ull, 0x3ff8000000000000ull},
-        {150, 1, 0x3fd83b6b74b6950cull, 0x3ff8000000000000ull},
-        {180, 1, 0x3fdc5951f4b7dbf5ull, 0x3ff0000000000000ull},
-        {210, 1, 0x3fddc3bb2706969bull, 0x3ff8000000000000ull},
-        {240, 1, 0x3fdf1cd143d829b7ull, 0x3ff0000000000000ull},
-        {270, 1, 0x3fdf26689df3799full, 0x3ff0000000000000ull},
-        {300, 1, 0x3fde3f91550eed8dull, 0x3ff0000000000000ull},
+        {30, 1, 0x3fde94b9bb159704ull, 0x3ff0000000000000ull,
+         0x4008000000000000ull},
+        {60, 1, 0x3fe2294600f04154ull, 0x3ff0000000000000ull,
+         0x4008000000000000ull},
+        {90, 1, 0x3fdc9a7c83c7f856ull, 0x3ff8000000000000ull,
+         0x40050d79435e50d8ull},
+        {120, 1, 0x3fdc69067e591af3ull, 0x3ff8000000000000ull,
+         0x40031c71c71c71c7ull},
+        {150, 1, 0x3fd83b6b74b6950cull, 0x3ff8000000000000ull,
+         0x40023d70a3d70a3dull},
+        {180, 1, 0x3fdc5951f4b7dbf5ull, 0x3ff0000000000000ull,
+         0x4004000000000000ull},
+        {210, 1, 0x3fddc3bb2706969bull, 0x3ff8000000000000ull,
+         0x4008000000000000ull},
+        {240, 1, 0x3fdf1cd143d829b7ull, 0x3ff0000000000000ull,
+         0x400c2c8590b21643ull},
+        {270, 1, 0x3fdf26689df3799full, 0x3ff0000000000000ull,
+         0x4004000000000000ull},
+        {300, 1, 0x3fde3f91550eed8dull, 0x3ff0000000000000ull,
+         0x4002aaaaaaaaaaabull},
     };
     auto spec = ScenarioSpec::parse_file(std::string(XHEAL_REPO_DIR) +
                                          "/scenarios/p2p_churn.scn");
@@ -265,15 +275,24 @@ TEST(ScenarioRunner, ForkedProbeValuesArePinnedBitwise) {
         EXPECT_EQ(s.components, pins[i].components);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(s.lambda2), pins[i].lambda2);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(s.stretch), pins[i].stretch);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.expansion), pins[i].expansion);
     }
+
+    // star_collapse samples expansion above the exact-enumeration limit, so
+    // its final value is the Fiedler sweep cut's.
+    auto star = ScenarioSpec::parse_file(std::string(XHEAL_REPO_DIR) +
+                                         "/scenarios/star_collapse.scn");
+    auto star_result = ScenarioRunner(star).run();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(star_result.final_sample.expansion),
+              0x3ff7777777777777ull);
 }
 
 TEST(ScenarioRunner, ForkedSparseLambda2IsPinnedBitwise) {
-    // Above ProbeEngine::dense_limit the forked solve runs the warm-started
-    // Lanczos path and its connectivity gate while this thread runs the
-    // components and stretch BFS sweeps — the sparse half of the fork that
-    // the small p2p_churn graph never reaches. Pins recorded from the
-    // serial sampler.
+    // Above spectral::dense_spectral_limit the forked solve runs the
+    // warm-started Lanczos kernel and its connectivity gate while this
+    // thread runs the components and stretch BFS sweeps — the sparse half of
+    // the fork that the small p2p_churn graph never reaches. Pins recorded
+    // from the serial sampler.
     auto spec = ScenarioSpec::parse(R"(
 name forked-sparse
 seed 19
@@ -294,7 +313,7 @@ expect connected
     for (std::size_t i = 0; i < std::size(lambda2_pins); ++i) {
         const auto& s = result.samples[i];
         SCOPED_TRACE("sample " + std::to_string(i));
-        EXPECT_GT(s.nodes, spectral::ProbeEngine::default_dense_limit);
+        EXPECT_GT(s.nodes, spectral::dense_spectral_limit);
         EXPECT_EQ(s.components, 1u);
         EXPECT_EQ(s.stretch, 1.0);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(s.lambda2), lambda2_pins[i]);

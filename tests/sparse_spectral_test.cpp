@@ -1,15 +1,18 @@
-// Sparse probe layer: the CSR snapshot mirrors the slot graph exactly, and
-// the matrix-free Lanczos lambda2 agrees with the dense Jacobi reference to
-// 1e-6 across 50 randomized small graphs (Erdos-Renyi, rings, stars,
-// disconnected unions) plus post-churn graphs replayed from traces.
+// The one spectral pipeline: the CSR snapshot mirrors the slot graph
+// exactly; the Lanczos kernel agrees with the dense kernel to 1e-6 across 50
+// randomized small graphs (Erdos-Renyi, rings, stars, disconnected unions)
+// plus post-churn graphs replayed from traces; and the probe and the free
+// solve read the same kernels.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <utility>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "scenario/runner.hpp"
 #include "spectral/csr.hpp"
+#include "spectral/laplacian.hpp"
 #include "spectral/probes.hpp"
 #include "workload/generators.hpp"
 
@@ -42,10 +45,15 @@ Graph two_rings(std::size_t a, std::size_t b) {
     return g;
 }
 
+/// Both kernels over one snapshot; the Lanczos kernel runs cold at the
+/// exhaustive budget.
 void expect_sparse_matches_dense(const Graph& g, const char* what) {
-    spectral::ProbeEngine engine;
-    double dense = engine.lambda2_dense(g);
-    double sparse = engine.lambda2_sparse(g, /*seed=*/g.node_count() * 7919 + 13);
+    spectral::CsrGraph csr;
+    csr.build(g);
+    spectral::SpectralScratch scratch;
+    double dense = spectral::dense_lambda2(csr, scratch);
+    double sparse =
+        spectral::lanczos_lambda2(csr, scratch, /*seed=*/g.node_count() * 7919 + 13).value;
     EXPECT_NEAR(sparse, dense, 1e-6) << what << " n=" << g.node_count();
 }
 
@@ -138,15 +146,42 @@ phase assault steps=10 delete_fraction=1 deleter=max-degree min_nodes=12
 }
 
 TEST(SparseLambda2, AutoSelectionIsConsistentAcrossTheThreshold) {
-    // A graph just under the dense limit and one just over it: the auto
-    // probe must agree with both forced paths.
+    // A graph at the dense limit and one just over it: the probe must agree
+    // with the kernel each size selects.
     util::Rng rng(5);
-    spectral::ProbeEngine engine(/*dense_limit=*/32);
-    Graph small = workload::make_hgraph_graph(30, 2, rng);
-    EXPECT_NEAR(engine.lambda2(small), engine.lambda2_dense(small), 1e-12);
-    // The auto path uses the budgeted probe accuracy; compare loosely.
-    Graph large = workload::make_hgraph_graph(64, 2, rng);
-    EXPECT_NEAR(engine.lambda2(large), engine.lambda2_sparse(large), 1e-3);
+    spectral::ProbeEngine engine;
+    spectral::CsrGraph csr;
+    spectral::SpectralScratch scratch;
+    Graph small = workload::make_hgraph_graph(spectral::dense_spectral_limit, 2, rng);
+    csr.build(small);
+    EXPECT_NEAR(engine.lambda2(small), spectral::dense_lambda2(csr, scratch), 1e-12);
+    // Above the limit the probe runs at its budgeted accuracy against the
+    // exhaustive solve; compare loosely.
+    Graph large = workload::make_hgraph_graph(spectral::dense_spectral_limit + 8, 2, rng);
+    csr.build(large);
+    EXPECT_NEAR(engine.lambda2(large), spectral::lanczos_lambda2(csr, scratch, 12345).value,
+                1e-3);
+}
+
+TEST(SparseLambda2, FreeLambda2EqualsTheProbeBitwiseUnderTheCutoff) {
+    // One dense kernel: on connected graphs at or below the cutoff the free
+    // solve and the probe materialize the same matrix and read the same bits.
+    util::Rng rng(77);
+    std::vector<Graph> graphs;
+    graphs.push_back(workload::make_cycle(12));
+    graphs.push_back(workload::make_star(20));
+    graphs.push_back(workload::make_dumbbell(8));
+    graphs.push_back(workload::make_grid(6, 7));
+    graphs.push_back(workload::make_erdos_renyi(60, 0.1, rng));
+    graphs.push_back(workload::make_hgraph_graph(60, 2, rng));
+    graphs.push_back(workload::make_random_regular(spectral::dense_spectral_limit, 4, rng));
+    for (const Graph& g : graphs) {
+        SCOPED_TRACE(g.node_count());
+        ASSERT_LE(g.node_count(), spectral::dense_spectral_limit);
+        ASSERT_TRUE(graph::is_connected(g));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(spectral::lambda2(g)),
+                  std::bit_cast<std::uint64_t>(spectral::ProbeEngine().lambda2(g)));
+    }
 }
 
 TEST(SparseLambda2, TrivialAndDegenerateGraphs) {
@@ -159,8 +194,11 @@ TEST(SparseLambda2, TrivialAndDegenerateGraphs) {
     Graph isolated;  // two nodes, no edges: disconnected
     isolated.add_node();
     isolated.add_node();
-    EXPECT_EQ(engine.lambda2_sparse(isolated), 0.0);
-    EXPECT_NEAR(engine.lambda2_dense(isolated), 0.0, 1e-12);
+    spectral::CsrGraph csr;
+    csr.build(isolated);
+    spectral::SpectralScratch scratch;
+    EXPECT_EQ(spectral::lanczos_lambda2(csr, scratch, 12345).value, 0.0);
+    EXPECT_NEAR(spectral::dense_lambda2(csr, scratch), 0.0, 1e-12);
 }
 
 TEST(SparseComponentCount, MatchesTheGraphLayer) {

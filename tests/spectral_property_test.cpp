@@ -56,10 +56,9 @@ TEST_P(SpectralPropertyTest, CombinatorialSpectrumSumsToTwoM) {
 TEST_P(SpectralPropertyTest, DenseAndSparseLambda2Agree) {
     Graph g = GetParam().make();
     auto dense_vals = laplacian_spectrum(g, LaplacianKind::normalized);
-    // Force the Lanczos path regardless of size by calling the operator
-    // through fiedler() on a graph above the threshold, or compare directly
-    // against the dense value for small graphs (lambda2() dispatches).
-    double l2 = lambda2(g, LaplacianKind::normalized);
+    // lambda2() dispatches: the dense kernel at or below
+    // dense_spectral_limit, the Lanczos kernel above it.
+    double l2 = lambda2(g);
     EXPECT_NEAR(l2, dense_vals[1], 1e-5);
 }
 
@@ -77,7 +76,7 @@ TEST_P(SpectralPropertyTest, CheegerInequalityExact) {
     Graph g = GetParam().make();
     if (g.node_count() > exact_expansion_limit) GTEST_SKIP();
     double phi = cheeger_exact(g);
-    double l2 = lambda2(g, LaplacianKind::normalized);
+    double l2 = lambda2(g);
     EXPECT_GE(2.0 * phi + 1e-9, l2);
     EXPECT_GT(l2, phi * phi / 2.0 - 1e-9);
 }

@@ -126,3 +126,33 @@ TEST(StretchProbe, ProbeBudgetLeavesRunDeterminismUnchanged) {
     EXPECT_EQ(base.fingerprint, probed.fingerprint);
     EXPECT_EQ(base.fingerprint, heavy.fingerprint);
 }
+
+TEST(StretchProbe, UnbatchedCallAfterASampleBatchRebuildsTheReference) {
+    // G and G' are the path 0-1-2-3. One journaled sample batch syncs both
+    // snapshots; then G' alone gains the chord 0-3. An un-batched probe on
+    // the same engine must rebuild the G' snapshot (dist_G'(0,3) = 1, stretch
+    // 3), exactly like a fresh engine — never reuse the batch's stale one.
+    auto path = [] {
+        graph::Graph p;
+        for (int i = 0; i < 4; ++i) p.add_node();
+        for (graph::NodeId v = 0; v + 1 < 4; ++v) p.add_black_edge(v, v + 1);
+        p.set_journal_limit(1000);
+        return p;
+    };
+    graph::Graph g = path();
+    graph::Graph ref = path();
+
+    spectral::ProbeEngine engine;
+    util::Rng rng(5);
+    engine.begin_sample(g, g.journal(), g.journal_overflowed());
+    engine.note_reference(ref, ref.journal(), ref.journal_overflowed());
+    g.clear_journal();
+    ref.clear_journal();
+    EXPECT_DOUBLE_EQ(engine.sampled_stretch(g, ref, 100, rng), 1.0);
+    engine.end_sample();
+
+    ref.add_black_edge(0, 3);
+    util::Rng fresh_rng(5);
+    EXPECT_DOUBLE_EQ(spectral::ProbeEngine().sampled_stretch(g, ref, 100, fresh_rng), 3.0);
+    EXPECT_DOUBLE_EQ(engine.sampled_stretch(g, ref, 100, rng), 3.0);
+}
