@@ -45,7 +45,7 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
         cloud = pool_[slot].get();
         index_.push_back({color, slot});
     }
-    for (NodeId v : cloud->topology.members()) register_membership(v, color);
+    for (NodeId v : cloud->topology.members()) register_membership(v, color, kind);
     sync_claims(g, *cloud, claims_added, nullptr);
     fix_leadership(*cloud, rng);
     return color;
@@ -149,7 +149,7 @@ void CloudRegistry::insert_member(Graph& g, ColorId color, NodeId v, util::Rng& 
     XHEAL_EXPECTS(!cloud->has_member(v));
     delta_.clear();
     cloud->topology.insert(v, rng, &delta_);
-    register_membership(v, color);
+    register_membership(v, color, cloud->kind);
     if (delta_.full_resync) {
         sync_claims(g, *cloud, claims_added, claims_removed);
     } else {
@@ -172,9 +172,9 @@ const Cloud* CloudRegistry::find(ColorId color) const {
 void CloudRegistry::primary_clouds_of(NodeId v, std::vector<ColorId>& out) const {
     out.clear();
     if (v >= memberships_.size()) return;
+    // Every membership but the (at most one) secondary is a primary.
     for (ColorId c : memberships_[v]) {
-        const Cloud* cloud = find(c);
-        if (cloud != nullptr && cloud->kind == CloudKind::primary) out.push_back(c);
+        if (c != secondary_of_[v]) out.push_back(c);
     }  // memberships_[v] is sorted, so out is ascending
 }
 
@@ -185,12 +185,9 @@ std::vector<ColorId> CloudRegistry::primary_clouds_of(NodeId v) const {
 }
 
 std::optional<ColorId> CloudRegistry::secondary_cloud_of(NodeId v) const {
-    if (v >= memberships_.size()) return std::nullopt;
-    for (ColorId c : memberships_[v]) {
-        const Cloud* cloud = find(c);
-        if (cloud != nullptr && cloud->kind == CloudKind::secondary) return c;
-    }
-    return std::nullopt;
+    if (v >= secondary_of_.size() || secondary_of_[v] == graph::invalid_color)
+        return std::nullopt;
+    return secondary_of_[v];
 }
 
 void CloudRegistry::free_members_of(ColorId color, std::vector<NodeId>& out) const {
@@ -283,8 +280,13 @@ void CloudRegistry::fix_leadership(Cloud& cloud, util::Rng& rng) {
     }
 }
 
-void CloudRegistry::register_membership(NodeId v, ColorId color) {
-    if (memberships_.size() <= v) memberships_.resize(v + 1);
+void CloudRegistry::register_membership(NodeId v, ColorId color, CloudKind kind) {
+    // The two per-node tables grow together, so the secondary slots cost no
+    // allocation beyond the membership table's own growth.
+    if (memberships_.size() <= v) {
+        memberships_.resize(v + 1);
+        secondary_of_.resize(v + 1, graph::invalid_color);
+    }
     std::vector<ColorId>& row = memberships_[v];
     if (row.capacity() == 0 && !membership_pool_.empty()) {
         row = std::move(membership_pool_.back());
@@ -292,11 +294,16 @@ void CloudRegistry::register_membership(NodeId v, ColorId color) {
         row.clear();
     }
     util::sorted_insert(row, color);
+    if (kind == CloudKind::secondary) {
+        XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
+        secondary_of_[v] = color;
+    }
 }
 
 void CloudRegistry::unregister_membership(NodeId v, ColorId color) {
     if (v >= memberships_.size()) return;
     util::sorted_erase(memberships_[v], color);
+    if (secondary_of_[v] == color) secondary_of_[v] = graph::invalid_color;
 }
 
 void CloudRegistry::retire_membership_row(NodeId v) {
@@ -324,13 +331,14 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
     // moved yet. Dead ids must carry no memberships (their rows were emptied
     // when they left their last cloud); their storage is retired into the
     // pool just like retire_membership_row does, so the next epoch's fresh
-    // ids register without allocating.
+    // ids register without allocating. secondary_of_ slides with the rows.
     std::size_t upper = std::min(memberships_.size(), old_to_new.size());
     for (NodeId v = 0; v < upper; ++v) {
         std::vector<ColorId>& row = memberships_[v];
         NodeId to = old_to_new[v];
         if (to == graph::invalid_node) {
             XHEAL_ASSERT(row.empty());
+            XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
             if (row.capacity() != 0 && membership_pool_.size() < membership_pool_cap) {
                 if (membership_pool_.capacity() == 0)
                     membership_pool_.reserve(membership_pool_cap);
@@ -339,15 +347,23 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
             std::vector<ColorId>().swap(row);
             continue;
         }
-        if (to != v) row.swap(memberships_[to]);
+        if (to != v) {
+            row.swap(memberships_[to]);
+            secondary_of_[to] = secondary_of_[v];
+            secondary_of_[v] = graph::invalid_color;
+        }
     }
     // Rows past the map (ids that never joined a cloud) don't exist, and the
     // tail beyond the live range holds only moved-from/empty rows.
     for (NodeId v = static_cast<NodeId>(std::min<std::size_t>(live_count, upper));
          v < upper; ++v) {
         XHEAL_ASSERT(memberships_[v].empty());
+        XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
     }
-    if (memberships_.size() > live_count) memberships_.resize(live_count);
+    if (memberships_.size() > live_count) {
+        memberships_.resize(live_count);
+        secondary_of_.resize(live_count);
+    }
 }
 
 void CloudRegistry::verify(const Graph& g) const {
@@ -391,17 +407,24 @@ void CloudRegistry::verify(const Graph& g) const {
             }
         }
     }
-    // Membership map has no dangling colors, and the "at most one secondary
-    // cloud per node" invariant holds.
+    // Membership map has no dangling colors, the "at most one secondary
+    // cloud per node" invariant holds, and secondary_of_ names exactly that
+    // secondary (invalid_color for a free node).
+    XHEAL_ASSERT(secondary_of_.size() == memberships_.size());
     for (NodeId v = 0; v < memberships_.size(); ++v) {
         std::size_t secondary_count = 0;
+        ColorId secondary = graph::invalid_color;
         for (ColorId c : memberships_[v]) {
             const Cloud* cloud = find(c);
             XHEAL_ASSERT(cloud != nullptr);
             XHEAL_ASSERT(cloud->has_member(v));
-            if (cloud->kind == CloudKind::secondary) ++secondary_count;
+            if (cloud->kind == CloudKind::secondary) {
+                ++secondary_count;
+                secondary = c;
+            }
         }
         XHEAL_ASSERT(secondary_count <= 1);
+        XHEAL_ASSERT(secondary_of_[v] == secondary);
     }
     // Every color claim in the graph belongs to a live cloud that mirrors it.
     g.for_each_edge([&](NodeId u, NodeId v, const graph::EdgeClaims& claims) {

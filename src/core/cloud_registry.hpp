@@ -77,7 +77,7 @@ public:
     /// colors of v. The healer's hot path feeds its scratch buffer here.
     void primary_clouds_of(graph::NodeId v, std::vector<graph::ColorId>& out) const;
 
-    /// The (unique) secondary cloud containing v, if any.
+    /// The (unique) secondary cloud containing v, if any. One table read.
     std::optional<graph::ColorId> secondary_cloud_of(graph::NodeId v) const;
 
     /// Free = member of no secondary cloud (paper Section 3).
@@ -129,7 +129,7 @@ private:
     /// Re-establish leader and vice-leader after membership changed.
     void fix_leadership(Cloud& cloud, util::Rng& rng);
 
-    void register_membership(graph::NodeId v, graph::ColorId color);
+    void register_membership(graph::NodeId v, graph::ColorId color, CloudKind kind);
     void unregister_membership(graph::NodeId v, graph::ColorId color);
     /// v was deleted from the graph and left its last cloud: recycle its
     /// membership row's storage for a future fresh id.
@@ -164,6 +164,11 @@ private:
     /// cloud registrations don't allocate either.
     static constexpr std::size_t membership_pool_cap = 256;
     std::vector<std::vector<graph::ColorId>> memberships_;
+    /// secondary_of_[v] = the one secondary cloud containing v, or
+    /// invalid_color when v is free. Same size as memberships_ (both grow in
+    /// register_membership and slide together in remap_ids), so the free /
+    /// secondary test is one array read.
+    std::vector<graph::ColorId> secondary_of_;
     std::vector<std::vector<graph::ColorId>> membership_pool_;
     // Repair-path scratch, reused across every mutation (zero steady-state
     // allocations; see DESIGN.md decision 6).

@@ -393,13 +393,15 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
         if (u.is_cloud()) {
             const Cloud* cloud = registry_.find(u.cloud);
             if (cloud == nullptr) continue;
-            for (NodeId m : cloud->topology.members()) {
-                util::sorted_insert(comb_members_, m);
-            }
+            const std::vector<NodeId>& members = cloud->topology.members();
+            comb_members_.insert(comb_members_.end(), members.begin(), members.end());
         } else {
-            util::sorted_insert(comb_members_, u.singleton);
+            comb_members_.push_back(u.singleton);
         }
     }
+    std::sort(comb_members_.begin(), comb_members_.end());
+    comb_members_.erase(std::unique(comb_members_.begin(), comb_members_.end()),
+                        comb_members_.end());
     for (const Unit& u : units) {
         if (u.is_cloud() && registry_.exists(u.cloud)) {
             util::sorted_insert(comb_destroyed_, u.cloud);
@@ -431,17 +433,26 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
     // their roles. Without this, targeted bridge deletions starve the
     // system of free nodes and combines cascade (the Section 5(c)
     // amortization depends on it).
-    foreign_.clear();
+    //
+    // One grouped pass: pair each member with its (unique) secondary and
+    // sort, so each foreign secondary's group is exactly its members among
+    // comb_members_, ascending — the same stale_ order, removals and rng
+    // draws as scanning every member per secondary (DESIGN.md decision 4).
+    comb_groups_.clear();
     for (NodeId m : comb_members_) {
         auto sec = registry_.secondary_cloud_of(m);
-        if (sec.has_value()) util::sorted_insert(foreign_, *sec);
+        if (sec.has_value()) comb_groups_.push_back({*sec, m});
     }
-    for (ColorId f_color : foreign_) {
+    std::sort(comb_groups_.begin(), comb_groups_.end());
+    for (std::size_t lo = 0, hi = 0; lo < comb_groups_.size(); lo = hi) {
+        ColorId f_color = comb_groups_[lo].first;
+        hi = lo + 1;
+        while (hi < comb_groups_.size() && comb_groups_[hi].first == f_color) ++hi;
         Cloud* f = registry_.find(f_color);
         if (f == nullptr) continue;
         stale_.clear();
-        for (NodeId m : comb_members_) {
-            if (!f->has_member(m)) continue;
+        for (std::size_t i = lo; i < hi; ++i) {
+            NodeId m = comb_groups_[i].second;
             ColorId assoc = f->bridge_assoc_of(m);
             bool assoc_alive = assoc != graph::invalid_color && registry_.exists(assoc) &&
                                !util::sorted_contains(comb_destroyed_, assoc);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/cloud_registry.hpp"
 #include "util/expects.hpp"
 #include "workload/generators.hpp"
@@ -192,6 +195,79 @@ TEST_F(RegistryTest, BridgeAssocPurgedOnRemoval) {
     EXPECT_FALSE(reg.find(s)->has_bridge_assoc(0));
     EXPECT_TRUE(reg.is_free(0));
     reg.verify(g);
+}
+
+TEST_F(RegistryTest, SecondaryTableTracksMembershipThroughLifecycle) {
+    // secondary_cloud_of reads one per-node slot; after every mutation it
+    // must agree with a brute-force scan of the live clouds' memberships.
+    auto expect_table_matches = [&](const char* step) {
+        SCOPED_TRACE(step);
+        for (NodeId v = 0; v < g.next_id(); ++v) {
+            std::optional<ColorId> brute;
+            for (ColorId c : reg.colors()) {
+                const Cloud* cloud = reg.find(c);
+                if (cloud->kind == CloudKind::secondary && cloud->has_member(v)) {
+                    ASSERT_FALSE(brute.has_value()) << "node " << v << " in two secondaries";
+                    brute = c;
+                }
+            }
+            EXPECT_EQ(reg.secondary_cloud_of(v), brute) << "node " << v;
+            EXPECT_EQ(reg.is_free(v), !brute.has_value()) << "node " << v;
+        }
+        reg.verify(g);
+    };
+
+    add_nodes(14);
+    ColorId p1 = reg.create_cloud(g, CloudKind::primary, {0, 1, 2, 3, 4}, rng);
+    ColorId p2 = reg.create_cloud(g, CloudKind::primary, {4, 5, 6, 7}, rng);
+    ColorId s1 = reg.create_cloud(g, CloudKind::secondary, {1, 5, 8, 9}, rng);
+    ColorId s2 = reg.create_cloud(g, CloudKind::secondary, {2, 6, 10}, rng);
+    expect_table_matches("create");
+    EXPECT_EQ(reg.primary_clouds_of(5), std::vector<ColorId>{p2});
+
+    reg.insert_member(g, s1, 11, rng);  // secondary insert sets the slot
+    reg.insert_member(g, p1, 12, rng);  // primary insert leaves it free
+    expect_table_matches("insert");
+    EXPECT_EQ(reg.secondary_cloud_of(11), std::optional<ColorId>{s1});
+    EXPECT_TRUE(reg.is_free(12));
+
+    reg.remove_member(g, s1, 8, rng, /*deleted_from_graph=*/false);
+    expect_table_matches("remove, still in graph");
+    EXPECT_TRUE(reg.is_free(8));
+
+    g.remove_node(9);
+    reg.remove_member(g, s1, 9, rng, /*deleted_from_graph=*/true);
+    expect_table_matches("remove, deleted from graph");
+
+    // Dissolving a 2-member secondary clears both slots.
+    g.remove_node(10);
+    reg.remove_member(g, s2, 10, rng, /*deleted_from_graph=*/true);
+    reg.remove_member(g, s2, 6, rng, /*deleted_from_graph=*/false);
+    EXPECT_FALSE(reg.exists(s2));
+    expect_table_matches("dissolve");
+    EXPECT_TRUE(reg.is_free(2));
+
+    ColorId s3 = reg.create_cloud(g, CloudKind::secondary, {3, 7, 13}, rng);
+    reg.destroy_cloud(g, s1);
+    expect_table_matches("destroy");
+    EXPECT_TRUE(reg.is_free(1));
+    EXPECT_TRUE(reg.is_free(11));
+
+    // Close an id epoch: nodes 9 and 10 are gone, so every later id slides
+    // down; the slots must move with their nodes.
+    std::vector<NodeId> old_to_new;
+    g.compact(old_to_new);
+    reg.remap_ids(old_to_new, g.node_count());
+    expect_table_matches("remap_ids");
+    EXPECT_EQ(reg.secondary_cloud_of(old_to_new[13]), std::optional<ColorId>{s3});
+    EXPECT_EQ(reg.secondary_cloud_of(old_to_new[7]), std::optional<ColorId>{s3});
+    EXPECT_TRUE(reg.is_free(old_to_new[11]));
+
+    // The table keeps working on the renumbered ids.
+    reg.insert_member(g, s3, old_to_new[11], rng);
+    reg.destroy_cloud(g, p1);
+    expect_table_matches("after remap");
+    EXPECT_EQ(reg.secondary_cloud_of(old_to_new[11]), std::optional<ColorId>{s3});
 }
 
 }  // namespace
