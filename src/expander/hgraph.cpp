@@ -190,15 +190,24 @@ bool HGraph::has_adjacency(NodeId a, NodeId b) const {
 void HGraph::collect_edges(
     std::vector<std::pair<NodeId, NodeId>>& out) const {
     out.clear();
-    for (std::size_t c = 0; c < d_; ++c) {
-        for (const auto& [id, slot] : index_) {
-            std::uint32_t t = succ_[c][slot];
-            if (t == slot) continue;  // degenerate 1-node cycle
-            out.push_back(ordered(id, slot_ids_[t]));
+    // Member by member in ascending id order, the pairs to its larger cycle
+    // neighbours (successors and predecessors over every cycle), sorted and
+    // deduplicated in place: each cycle edge is listed once, from its
+    // smaller end, and the whole projection comes out sorted without one
+    // sort over all d * n pairs.
+    for (const auto& [id, slot] : index_) {
+        std::size_t start = out.size();
+        for (std::size_t c = 0; c < d_; ++c) {
+            for (std::uint32_t t : {succ_[c][slot], pred_[c][slot]}) {
+                if (t == slot) continue;  // degenerate 1-node cycle
+                NodeId other = slot_ids_[t];
+                if (other > id) out.emplace_back(id, other);
+            }
         }
+        auto first = out.begin() + static_cast<std::ptrdiff_t>(start);
+        std::sort(first, out.end());
+        out.erase(std::unique(first, out.end()), out.end());
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 std::vector<std::pair<NodeId, NodeId>> HGraph::edges() const {

@@ -6,6 +6,63 @@ void Graph::reserve_slots(NodeId n) {
     if (slots_.size() < n) slots_.resize(n);
 }
 
+Graph Graph::with_black_edges(std::size_t n,
+                              std::span<const std::pair<NodeId, NodeId>> edges) {
+    Graph g;
+    g.slots_.resize(n);
+    std::vector<std::uint32_t> degree(n, 0);
+    for (const auto& [u, v] : edges) {
+        XHEAL_EXPECTS(u != v && u < n && v < n);
+        ++degree[u];
+        ++degree[v];
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+        g.slots_[v].state = SlotState::alive;
+        g.slots_[v].row.reserve(degree[v]);
+    }
+    EdgeClaims black;
+    black.black = true;
+    for (const auto& [u, v] : edges) {
+        g.slots_[u].row.emplace_back(v, black);
+        g.slots_[v].row.emplace_back(u, black);
+    }
+    auto id_less = [](const NeighborEntry& a, const NeighborEntry& b) {
+        return a.first < b.first;
+    };
+    auto id_not_less = [](const NeighborEntry& a, const NeighborEntry& b) {
+        return a.first >= b.first;
+    };
+    auto id_equal = [](const NeighborEntry& a, const NeighborEntry& b) {
+        return a.first == b.first;
+    };
+    std::size_t endpoints = 0;
+    std::size_t max_degree = 0;
+    for (Slot& slot : g.slots_) {
+        // A sorted, duplicate-free list (an H-graph projection) fills every
+        // row strictly ascending already.
+        if (std::adjacent_find(slot.row.begin(), slot.row.end(), id_not_less) !=
+            slot.row.end()) {
+            std::sort(slot.row.begin(), slot.row.end(), id_less);
+            slot.row.erase(std::unique(slot.row.begin(), slot.row.end(), id_equal),
+                           slot.row.end());
+        }
+        endpoints += slot.row.size();
+        max_degree = std::max(max_degree, slot.row.size());
+    }
+    g.live_nodes_ = n;
+    g.next_id_ = static_cast<NodeId>(n);
+    g.edge_count_ = endpoints / 2;
+    // The per-edge build's histogram: one bucket per degree up to the max,
+    // the max hint at the largest degree reached, the min hint still at the
+    // 0 every node was born with.
+    if (n != 0) {
+        g.degree_hist_.assign(max_degree + 1, 0);
+        for (const Slot& slot : g.slots_) ++g.degree_hist_[slot.row.size()];
+        g.max_hint_ = max_degree;
+    }
+    return g;
+}
+
 NodeId Graph::add_node() {
     NodeId v = next_id_++;
     reserve_slots(next_id_);

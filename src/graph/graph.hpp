@@ -142,6 +142,17 @@ class Graph {
 public:
     Graph() = default;
 
+    /// Bulk build of a fresh graph: nodes 0..n-1 plus the black edge of
+    /// every pair in `edges` (u != v, both < n; either orientation, repeats
+    /// allowed). Counts degrees, reserves each row once, appends, then sorts
+    /// and dedupes each row: O(n + m) row work instead of m ensure_edge
+    /// calls. Rows, degree histogram, degree extremes, edge_count and the
+    /// (disabled) journal equal those of n add_node() calls followed by
+    /// add_black_edge() per pair. Rows are exactly sized, where that build
+    /// leaves its doubling growth's slack.
+    static Graph with_black_edges(std::size_t n,
+                                  std::span<const std::pair<NodeId, NodeId>> edges);
+
     // ----- allocation-free traversal views -----
 
     /// Forward range over the live node ids in ascending order. Iteration

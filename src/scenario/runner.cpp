@@ -124,17 +124,22 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     g.clear_journal();
     ref.clear_journal();
     // Fork-join (DESIGN.md decision 10): freeze the snapshot here, solve
-    // lambda2 over it on one forked thread, run every other probe on this
-    // one, then join. The solve's warm-start chain still sees each sample's
-    // snapshot in order, and the stretch rng draws stay on this thread, so
-    // every value is the one a serial sample computes.
-    std::future<double> lambda2;
+    // lambda2 over it on one forked thread with no connectivity gate, run
+    // every other probe on this one, then join and commit. The components
+    // flood below decides the gate the solve skipped: a disconnected
+    // snapshot discards the solve, as the serial lambda2(g) never runs it.
+    // The warm-start chain still sees each sample's snapshot in order, and
+    // the stretch rng draws stay on this thread, so every value is the one a
+    // serial sample computes.
+    std::future<spectral::ProbeEngine::Lambda2Solve> lambda2;
     if (probes.lambda2) {
         probe_engine_.sync(g);
         lambda2 = std::async(std::launch::async,
-                             [this, &g] { return probe_engine_.lambda2(g); });
+                             [this, &g] { return probe_engine_.solve_lambda2(g); });
     }
-    if (probes.connected) sample.components = probe_engine_.component_count(g);
+    std::size_t components = 0;
+    if (probes.connected || probes.lambda2) components = probe_engine_.component_count(g);
+    if (probes.connected) sample.components = components;
     if (probes.degree) {
         sample.max_degree = g.max_degree();
         auto increase = core::degree_increase(g, ref);
@@ -155,7 +160,7 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     if (probes.stretch)
         sample.stretch =
             probe_engine_.sampled_stretch(g, ref, spec_.stretch_samples, probe_rng_);
-    if (lambda2.valid()) sample.lambda2 = lambda2.get();
+    if (lambda2.valid()) sample.lambda2 = probe_engine_.commit_lambda2(lambda2.get(), components);
     probe_engine_.end_sample();
     auto probe_end = std::chrono::steady_clock::now();
     sample.probe_seconds = std::chrono::duration<double>(probe_end - probe_start).count();

@@ -123,8 +123,7 @@ bool CsrGraph::patch(const graph::Graph& g, const std::vector<NodeId>& dirty) {
     return true;
 }
 
-void CsrGraph::apply_normalized_laplacian(const std::vector<double>& x,
-                                          std::vector<double>& y,
+void CsrGraph::apply_normalized_laplacian(std::span<const double> x, std::span<double> y,
                                           std::vector<double>& scaled) const {
     std::size_t n = nodes_.size();
     scaled.resize(n);

@@ -69,7 +69,7 @@ public:
     /// not depend on which thread runs the apply. `scaled` is caller-owned
     /// scratch (resized here, reused across applies by the probe engine),
     /// so the apply never writes the shared snapshot.
-    void apply_normalized_laplacian(const std::vector<double>& x, std::vector<double>& y,
+    void apply_normalized_laplacian(std::span<const double> x, std::span<double> y,
                                     std::vector<double>& scaled) const;
 
     /// The unit-norm kernel vector D^{1/2} 1 of the normalized Laplacian,
@@ -81,7 +81,8 @@ public:
     std::size_t component_count(std::vector<std::uint32_t>& visited,
                                 std::vector<std::uint32_t>& queue) const;
 
-    // Raw array views for the patch-vs-rebuild property tests.
+    // Raw array views: the patch-vs-rebuild property tests, and the stretch
+    // probe's multi-source BFS, which walks rows through local pointers.
     const std::vector<std::uint32_t>& offsets() const { return offsets_; }
     const std::vector<std::uint32_t>& targets() const { return targets_; }
     const std::vector<double>& inv_sqrt_degrees() const { return inv_sqrt_deg_; }

@@ -60,14 +60,10 @@ double dense_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
 LanczosResult lanczos_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
                               std::uint64_t seed, std::size_t max_iterations,
                               double tolerance, const std::vector<double>* warm_start) {
-    if (csr.size() < 2 || csr.component_count(scratch.visited, scratch.queue) > 1) return {};
+    if (csr.size() < 2) return {};
     csr.normalized_kernel(scratch.kernel);
     util::Rng rng(seed);
-    LinearOperator apply = [&csr, &scratch](const std::vector<double>& x,
-                                            std::vector<double>& y) {
-        csr.apply_normalized_laplacian(x, y, scratch.scaled);
-    };
-    auto result = lanczos_smallest(apply, csr.size(), scratch.kernel, rng, max_iterations,
+    auto result = lanczos_smallest(csr, scratch.kernel, scratch.lanczos, rng, max_iterations,
                                    tolerance, warm_start);
     result.value = std::max(0.0, result.value);  // clamp tiny negative round-off
     return result;
@@ -77,6 +73,7 @@ FiedlerResult fiedler(const CsrGraph& csr, std::uint64_t seed) {
     FiedlerResult out;
     out.vector.assign(csr.size(), 0.0);
     SpectralScratch scratch;
+    // The one connectivity flood of this solve (the kernels have no gate).
     if (csr.size() < 2 || csr.component_count(scratch.visited, scratch.queue) > 1) return out;
     if (csr.size() <= dense_spectral_limit) {
         out.lambda2 = dense_lambda2(csr, scratch, &out.vector);

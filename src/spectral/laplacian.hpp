@@ -9,11 +9,15 @@
 //   * dense_lambda2()   — materializes L from the snapshot and runs Jacobi;
 //                         the path at or below dense_spectral_limit nodes.
 //   * lanczos_lambda2() — matrix-free Lanczos on CsrGraph's normalized
-//                         Laplacian apply with the D^{1/2} 1 kernel deflated,
-//                         behind a connectivity gate; the path above it.
+//                         Laplacian apply with the D^{1/2} 1 kernel deflated;
+//                         the path above it.
 //
-// The ProbeEngine (probes.hpp) calls them at its probe budget with a warm
-// start; the free fiedler()/lambda2() below call them at the exhaustive
+// Neither kernel gates on connectivity. The paper's lambda2 of a
+// disconnected graph is 0, so each caller floods the snapshot once and
+// decides: the free fiedler()/lambda2() below skip the solve, and the
+// ProbeEngine (probes.hpp) either skips it or, when the solve runs beside
+// the components probe, discards its result. The engine solves at its
+// probe budget with a warm start; fiedler()/lambda2() at the exhaustive
 // budget, cold. The combinatorial Laplacian D - A survives only in
 // laplacian_spectrum(), the dense oracle for tests against closed-form
 // spectra.
@@ -47,8 +51,8 @@ struct SpectralScratch {
     DenseMatrix dense;                  ///< materialized Laplacian (dense kernel)
     std::vector<double> values;         ///< Jacobi eigenvalues (dense kernel)
     std::vector<double> kernel;         ///< D^{1/2} 1 (Lanczos kernel)
-    std::vector<double> scaled;         ///< the apply's D^{-1/2} x pass
-    std::vector<std::uint32_t> visited; ///< connectivity gate flood fill
+    LanczosScratch lanczos;             ///< Krylov basis and apply pass
+    std::vector<std::uint32_t> visited; ///< the callers' connectivity flood
     std::vector<std::uint32_t> queue;
 };
 
@@ -62,9 +66,11 @@ double dense_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
 
 /// The Lanczos kernel: smallest eigenpair of csr's normalized Laplacian
 /// orthogonal to D^{1/2} 1, value clamped at 0, Ritz vector aligned with
-/// csr.nodes(). The gate returns value 0 and an empty vector when csr has
-/// fewer than two nodes or more than one component. Deterministic given
-/// the seed and `warm_start` (see lanczos_smallest).
+/// csr.nodes(); value 0 and an empty vector below two nodes. No
+/// connectivity gate: on a disconnected snapshot the value is a round-off
+/// reading of the repeated zero eigenvalue, so callers that report the
+/// paper's lambda2 count components first. Deterministic given the seed and
+/// `warm_start` (see lanczos_smallest).
 LanczosResult lanczos_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
                               std::uint64_t seed,
                               std::size_t max_iterations = exact_lanczos_steps,

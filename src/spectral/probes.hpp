@@ -26,13 +26,16 @@
 //                        it once the budget covers every live node. Sources
 //                        are drawn from the caller's rng (the runner's
 //                        independent probe stream), so probe cadence never
-//                        perturbs the adversary trace.
+//                        perturbs the adversary trace. Up to 8 sources
+//                        share one multi-source BFS of G and one of G'.
 //
 // Threading: inside a begin_sample batch, once sync(g) has frozen the
-// snapshot, lambda2(g) may run on one thread while component_count(g) and
-// sampled_stretch() run on another. lambda2 only reads the frozen snapshot
-// and writes scratch no other probe touches (the kernels' SpectralScratch
-// and the warm-start state). No other pair of calls may overlap.
+// snapshot, solve_lambda2(g) — or the serial lambda2(g) — may run on one
+// thread while component_count(g) and sampled_stretch() run on another. The
+// solve only reads the frozen snapshot and writes scratch no other probe
+// touches (the kernels' SpectralScratch and the warm-start vector it
+// scatters). commit_lambda2, which writes the warm-start state, runs after
+// the join. No other pair of calls may overlap.
 #pragma once
 
 #include <cstdint>
@@ -114,8 +117,30 @@ public:
     /// dense_spectral_limit, for disconnected graphs). Deterministic given
     /// the seed and the warm-start chain: the dense kernel at or below
     /// dense_spectral_limit nodes, the Lanczos kernel at the probe budget
-    /// above it, warm-started from the previous solve when possible.
+    /// above it, warm-started from the previous solve when possible. The
+    /// serial form of the pair below: count components, solve only when
+    /// connected, commit.
     double lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
+
+    /// One lambda2 solve awaiting its connectivity verdict.
+    struct Lambda2Solve {
+        double value = 0.0;
+        /// Lanczos path: the Ritz vector, by csr.nodes(); empty on the dense
+        /// path, whose value needs no connectivity gate.
+        std::vector<double> ritz;
+    };
+
+    /// The solve half of lambda2(g), with no connectivity gate, so it can
+    /// run beside the components probe that decides the gate anyway.
+    /// Reads the warm-start state but never writes it.
+    Lambda2Solve solve_lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
+
+    /// The commit half: `components` is the component count of the same
+    /// frozen snapshot. A Lanczos solve on a connected snapshot keeps its
+    /// value and becomes the next warm start; on a disconnected one it
+    /// reads 0 and the warm state stays untouched — exactly the value and
+    /// state lambda2(g) leaves. Dense solves need no gate.
+    double commit_lambda2(Lambda2Solve solve, std::size_t components);
 
     /// Connected-component count via CSR BFS (0 for the empty graph).
     std::size_t component_count(const graph::Graph& g);
@@ -195,25 +220,50 @@ public:
     }
 
 private:
+    /// solve_lambda2 over the already synced snapshot (>= 2 nodes).
+    Lambda2Solve solve_synced(std::uint64_t seed);
+
     /// Scatter the stored Ritz vector onto csr's dense indexing (zeros for
     /// rows with no stored entry). Returns null when absent or fewer than
     /// half of csr's rows carry a stored value — too stale to help.
     const std::vector<double>* build_warm_start(const CsrGraph& csr);
 
-    /// BFS over `csr` from dense index `src` into `dist` (npos = unreached).
-    /// `dist` is resized and re-initialized; `queue` is the work list.
-    void bfs(const CsrGraph& csr, std::uint32_t src, std::vector<std::uint32_t>& dist);
+    /// Sources per multi-source BFS: one bit each of a per-node byte mask.
+    static constexpr std::size_t stretch_chunk_sources = 8;
+
+    /// Scratch of one multi-source BFS, one mask bit per source.
+    struct SourceFrontier {
+        std::vector<std::uint8_t> seen;  ///< per node: sources that reached it
+        std::vector<std::uint8_t> last;  ///< per node: sources that arrived last level
+        std::vector<std::uint8_t> next;  ///< per node: sources arriving this level
+        std::vector<std::uint32_t> nodes, next_nodes;  ///< frontier, by level
+    };
+
+    /// The stretch of one chunk of k <= stretch_chunk_sources sources,
+    /// folded into `worst`: one multi-source BFS of G records dist_G per
+    /// (node, source), one of G' then reads it as each (node, source) bit
+    /// first appears. Returns false as soon as a G'-reachable live target
+    /// is unreachable in G (stretch +infinity).
+    bool stretch_chunk(const CsrGraph& csr, const CsrGraph& ref_csr, std::size_t first,
+                       std::size_t k, double& worst);
 
     const graph::Graph* batch_graph_ = nullptr;
     bool snapshot_valid_ = false;
     IncrementalSnapshot snap_;
     IncrementalSnapshot ref_snap_;
-    std::vector<std::uint32_t> dist_;
-    std::vector<std::uint32_t> ref_dist_;
+    // Caller-thread probe scratch: the components flood, then the stretch
+    // probe's sources, G' -> G index map, per-source G distances and BFS
+    // frontiers.
+    std::vector<std::uint32_t> visited_;
     std::vector<std::uint32_t> queue_;
     std::vector<graph::NodeId> sources_;
-    // The kernels' scratch (dense matrix, Lanczos kernel and spmv pass, the
-    // connectivity gate's flood fill) belongs to lambda2 alone, so the
+    std::vector<std::uint32_t> source_index_;      // G dense index per source
+    std::vector<std::uint32_t> ref_source_index_;  // G' dense index per source
+    std::vector<std::uint32_t> ref_to_g_;          // G' dense index -> G's or npos
+    std::vector<std::uint32_t> source_dist_;       // dist_G, node-major, k per node
+    SourceFrontier bfs_;
+    // The kernels' scratch (dense matrix, Lanczos basis and spmv pass, the
+    // serial lambda2's connectivity flood) belongs to lambda2 alone, so the
     // solve shares no buffer with the components and stretch probes.
     SpectralScratch spectral_;
     // Warm-start state: the previous Lanczos solve's Ritz vector keyed by

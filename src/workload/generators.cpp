@@ -243,9 +243,7 @@ Graph make_hgraph_graph(std::size_t n, std::size_t d, util::Rng& rng) {
     members.reserve(n);
     for (std::size_t i = 0; i < n; ++i) members.push_back(static_cast<NodeId>(i));
     expander::HGraph h(members, d, rng);
-    Graph g = with_nodes(n);
-    for (const auto& [u, v] : h.edges()) g.add_black_edge(u, v);
-    return g;
+    return Graph::with_black_edges(n, h.edges());
 }
 
 }  // namespace xheal::workload

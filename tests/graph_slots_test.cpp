@@ -1,17 +1,24 @@
 // Property tests for the slot-indexed flat-adjacency storage core:
 // tombstone reuse rules, allocation-free view iteration against a
 // sorted-container oracle, claim-set transitions under interleaved
-// add/remove, and the incremental degree-histogram extremes.
+// add/remove, the incremental degree-histogram extremes, and the bulk fill
+// of an initial topology against the per-edge build.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "core/session.hpp"
+#include "core/xheal_healer.hpp"
+#include "expander/hgraph.hpp"
 #include "graph/graph.hpp"
+#include "scenario/trace.hpp"
 #include "util/expects.hpp"
 #include "util/rng.hpp"
+#include "workload/generators.hpp"
 
 namespace {
 
@@ -289,6 +296,101 @@ TEST(GraphSlots, DegreeExtremesTrackChurn) {
     EXPECT_EQ(g.min_degree(), 1u);
     g.remove_node(2);
     EXPECT_EQ(g.max_degree(), 0u);
+}
+
+// ----- bulk fill -----
+
+/// Nodes 0..n-1, then add_black_edge per pair: the build the bulk fill
+/// must equal.
+Graph per_edge_build(std::size_t n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+    Graph g;
+    for (std::size_t i = 0; i < n; ++i) g.add_node();
+    for (const auto& [u, v] : edges) g.add_black_edge(u, v);
+    return g;
+}
+
+void expect_same_graph(const Graph& a, const Graph& b) {
+    ASSERT_EQ(a.node_count(), b.node_count());
+    ASSERT_EQ(a.next_id(), b.next_id());
+    EXPECT_EQ(a.edge_count(), b.edge_count());
+    EXPECT_EQ(a.max_degree(), b.max_degree());
+    EXPECT_EQ(a.min_degree(), b.min_degree());
+    EXPECT_EQ(a.journal_overflowed(), b.journal_overflowed());
+    EXPECT_EQ(a.journal(), b.journal());
+    for (NodeId v : a.nodes()) {
+        ASSERT_TRUE(b.has_node(v));
+        ASSERT_EQ(a.degree(v), b.degree(v)) << "node " << v;
+        auto ra = a.row(v);
+        auto rb = b.row(v);
+        for (std::size_t i = 0; i < ra.size(); ++i) {
+            ASSERT_EQ(ra[i].first, rb[i].first) << "node " << v;
+            ASSERT_EQ(ra[i].second.black, rb[i].second.black);
+            ASSERT_TRUE(ra[i].second.colors == rb[i].second.colors);
+        }
+    }
+    EXPECT_EQ(xheal::scenario::graph_fingerprint(a), xheal::scenario::graph_fingerprint(b));
+}
+
+TEST(GraphSlots, BulkFillEqualsPerEdgeBuild) {
+    for (std::size_t n : {48u, 1000u, 20000u}) {
+        SCOPED_TRACE(n);
+        // make_hgraph_graph (the bulk fill) against the per-edge build of
+        // the same H-graph drawn from a copy of its rng.
+        Rng rng(n * 31 + 7);
+        Rng replay = rng;
+        Graph bulk = xheal::workload::make_hgraph_graph(n, 3, rng);
+        std::vector<NodeId> members;
+        for (std::size_t i = 0; i < n; ++i) members.push_back(static_cast<NodeId>(i));
+        auto edges = xheal::expander::HGraph(members, 3, replay).edges();
+        Graph built = per_edge_build(n, edges);
+        expect_same_graph(bulk, built);
+
+        // An unsorted list with flipped orientations and repeats fills the
+        // same graph.
+        auto messy = edges;
+        for (std::size_t i = 0; i < messy.size(); i += 3)
+            messy[i] = {messy[i].second, messy[i].first};
+        messy.insert(messy.end(), edges.begin(), edges.begin() + edges.size() / 5);
+        Rng shuffle_rng(n);
+        shuffle_rng.shuffle(messy);
+        expect_same_graph(Graph::with_black_edges(n, messy), built);
+
+        // The degree histogram behind the extremes: drain both graphs the
+        // same way and the extremes keep agreeing.
+        Graph drained_bulk = bulk;
+        Graph drained_built = built;
+        for (NodeId v = 0; v < n; v += 2) {
+            drained_bulk.remove_node(v);
+            drained_built.remove_node(v);
+            if (v % 64 == 0) {
+                ASSERT_EQ(drained_bulk.max_degree(), drained_built.max_degree());
+                ASSERT_EQ(drained_bulk.min_degree(), drained_built.min_degree());
+            }
+        }
+        expect_same_graph(drained_bulk, drained_built);
+
+        // A healing session over each repairs identically.
+        auto make_session = [](Graph g) {
+            return xheal::core::HealingSession(
+                std::move(g),
+                std::make_unique<xheal::core::XhealHealer>(xheal::core::XhealConfig{2, 9}));
+        };
+        auto from_bulk = make_session(bulk);
+        auto from_built = make_session(built);
+        Rng victims(n + 1);
+        for (int i = 0; i < 40; ++i) {
+            NodeId v = static_cast<NodeId>(victims.index(n));
+            if (!from_bulk.current().has_node(v)) continue;
+            from_bulk.delete_node(v);
+            from_built.delete_node(v);
+        }
+        EXPECT_EQ(xheal::scenario::graph_fingerprint(from_bulk.current()),
+                  xheal::scenario::graph_fingerprint(from_built.current()));
+        EXPECT_EQ(xheal::scenario::graph_fingerprint(from_bulk.reference()),
+                  xheal::scenario::graph_fingerprint(from_built.reference()));
+    }
+    Graph empty = Graph::with_black_edges(0, {});
+    expect_same_graph(empty, Graph{});
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <sstream>
 #include <string>
 
 #include "scenario/runner.hpp"
+#include "spectral/probes.hpp"
+#include "workload/generators.hpp"
 
 using namespace xheal;
 using scenario::ScenarioRunner;
@@ -289,10 +292,10 @@ TEST(ScenarioRunner, ForkedProbeValuesArePinnedBitwise) {
 
 TEST(ScenarioRunner, ForkedSparseLambda2IsPinnedBitwise) {
     // Above spectral::dense_spectral_limit the forked solve runs the
-    // warm-started Lanczos kernel and its connectivity gate while this
-    // thread runs the components and stretch BFS sweeps — the sparse half of
-    // the fork that the small p2p_churn graph never reaches. Pins recorded
-    // from the serial sampler.
+    // warm-started Lanczos kernel ungated while this thread runs the
+    // components and stretch BFS sweeps; the components count then gates
+    // the value at commit — the sparse half of the fork that the small
+    // p2p_churn graph never reaches. Pins recorded from the serial sampler.
     auto spec = ScenarioSpec::parse(R"(
 name forked-sparse
 seed 19
@@ -318,6 +321,62 @@ expect connected
         EXPECT_EQ(s.stretch, 1.0);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(s.lambda2), lambda2_pins[i]);
     }
+}
+
+TEST(ScenarioRunner, SpeculativeLambda2KeepsTheWarmChainAcrossADisconnectedSample) {
+    // The sampler's fork solves lambda2 with no connectivity gate while the
+    // caller floods components, and commits after the join. A twin engine
+    // runs the serial lambda2(g), which counts first and skips the solve on
+    // a disconnected snapshot. Across connected -> disconnected ->
+    // connected samples above the dense cutoff, both must read the same
+    // bits, and the disconnected sample must leave the warm chain alone, so
+    // the next warm-started solves agree too.
+    util::Rng rng(23);
+    graph::Graph g = workload::make_random_regular(400, 4, rng);
+    ASSERT_GT(g.node_count(), spectral::dense_spectral_limit);
+    g.set_journal_limit(4096);
+    spectral::ProbeEngine forked;
+    spectral::ProbeEngine serial;
+
+    // One sample of each engine over the same journal delta, the forked one
+    // in take_sample's order: sync, fork the solve, flood, join, commit.
+    auto sample = [&](std::size_t expect_components) {
+        forked.begin_sample(g, g.journal(), g.journal_overflowed());
+        serial.begin_sample(g, g.journal(), g.journal_overflowed());
+        g.clear_journal();
+        forked.sync(g);
+        auto solve = std::async(std::launch::async, [&] { return forked.solve_lambda2(g); });
+        std::size_t components = forked.component_count(g);
+        double speculative = forked.commit_lambda2(solve.get(), components);
+        double gated = serial.lambda2(g);
+        forked.end_sample();
+        serial.end_sample();
+        EXPECT_EQ(components, expect_components);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(speculative), std::bit_cast<std::uint64_t>(gated));
+        return speculative;
+    };
+
+    EXPECT_GT(sample(1), 0.0);
+    graph::NodeId loner = g.add_node();  // an isolated node: two components
+    EXPECT_EQ(sample(2), 0.0);
+    g.add_black_edge(loner, 0);
+    g.add_black_edge(loner, 200);
+    double rejoined = sample(1);
+    EXPECT_GT(rejoined, 0.0);
+    g.add_black_edge(7, 300);
+    EXPECT_GT(sample(1), 0.0);
+
+    // The disconnected sample's discarded solve never reached the warm
+    // chain: an engine that never saw that sample warm-starts identically.
+    util::Rng replay_rng(23);
+    graph::Graph h = workload::make_random_regular(400, 4, replay_rng);
+    spectral::ProbeEngine skipped;
+    EXPECT_GT(skipped.lambda2(h), 0.0);
+    graph::NodeId h_loner = h.add_node();
+    h.add_black_edge(h_loner, 0);
+    h.add_black_edge(h_loner, 200);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(skipped.lambda2(h)),
+              std::bit_cast<std::uint64_t>(rejoined));
 }
 
 TEST(ScenarioRunner, WarmStartedLambda2MatchesAColdSolve) {

@@ -14,6 +14,7 @@ namespace {
 using namespace xheal::spectral;
 namespace wl = xheal::workload;
 using xheal::graph::Graph;
+using xheal::graph::NodeId;
 
 TEST(DenseMatrix, MultiplyAndSymmetry) {
     DenseMatrix m(2);
@@ -153,6 +154,16 @@ TEST(Lambda2, Lambda2OfDisconnectedIsZero) {
     g.add_node();
     g.add_black_edge(0, 1);
     EXPECT_DOUBLE_EQ(lambda2(g), 0.0);
+    // Above the dense cutoff the Lanczos kernel has no gate of its own;
+    // fiedler()'s component count must still read the paper's 0.
+    Graph rings;
+    const auto ring = static_cast<NodeId>(dense_spectral_limit);
+    for (NodeId v = 0; v < 2 * ring; ++v) rings.add_node();
+    for (NodeId v = 0; v < 2 * ring; ++v)
+        rings.add_black_edge(v, v % ring == ring - 1 ? v + 1 - ring : v + 1);
+    auto fr = fiedler(rings);
+    EXPECT_EQ(fr.lambda2, 0.0);
+    EXPECT_EQ(fr.vector, std::vector<double>(rings.node_count(), 0.0));
 }
 
 TEST(Lambda2, CombinatorialPathFormula) {
@@ -179,17 +190,26 @@ TEST(Lambda2, HypercubeCombinatorial) {
     EXPECT_NEAR(laplacian_spectrum(g, LaplacianKind::combinatorial)[1], 2.0, 1e-7);
 }
 
-TEST(Lanczos, SmallestEigenvalueOfExplicitOperator) {
-    // Operator diag(1..6) with no deflation: smallest eigenvalue 1.
-    std::size_t n = 6;
-    LinearOperator apply = [n](const std::vector<double>& x, std::vector<double>& y) {
-        for (std::size_t i = 0; i < n; ++i) y[i] = static_cast<double>(i + 1) * x[i];
-    };
+TEST(Lanczos, SmallestEigenpairOfCycleLaplacian) {
+    // C_n's normalized Laplacian has eigenvalues 1 - cos(2 pi k / n). With no
+    // deflation the smallest is the kernel: 0, with a constant Ritz vector
+    // (D^{1/2} 1 on a regular graph). Deflating the kernel leaves
+    // 1 - cos(2 pi / n).
+    std::size_t n = 12;
+    CsrGraph csr;
+    csr.build(wl::make_cycle(n));
+    LanczosScratch scratch;
     xheal::util::Rng rng(3);
-    auto res = lanczos_smallest(apply, n, {}, rng);
-    EXPECT_NEAR(res.value, 1.0, 1e-8);
-    // Ritz vector concentrates on coordinate 0.
-    EXPECT_GT(std::abs(res.vector[0]), 0.99);
+    auto bottom = lanczos_smallest(csr, {}, scratch, rng);
+    EXPECT_NEAR(bottom.value, 0.0, 1e-8);
+    ASSERT_EQ(bottom.vector.size(), n);
+    for (double x : bottom.vector)
+        EXPECT_NEAR(std::abs(x), 1.0 / std::sqrt(static_cast<double>(n)), 1e-6);
+    std::vector<double> kernel;
+    csr.normalized_kernel(kernel);
+    auto second = lanczos_smallest(csr, kernel, scratch, rng);
+    EXPECT_NEAR(second.value, 1.0 - std::cos(2.0 * std::numbers::pi / static_cast<double>(n)),
+                1e-8);
 }
 
 TEST(Fiedler, VectorSeparatesDumbbell) {

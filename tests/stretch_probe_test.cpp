@@ -5,7 +5,9 @@
 // final-graph fingerprint are budget-independent).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -30,6 +32,56 @@ phase churn steps=50 delete_fraction=0.6 deleter=random inserter=random-attach k
 /// Exact stretch of the paper's metric, clamped to the probe's >= 1 floor.
 double exact_stretch(const graph::Graph& g, const graph::Graph& ref) {
     return std::max(1.0, graph::stretch_vs(g, ref));
+}
+
+/// The probe's contract spelled out per source: the same partial
+/// Fisher-Yates draw over g's live ids, then one BFS pair per source.
+double per_source_stretch(const graph::Graph& g, const graph::Graph& ref, std::size_t budget,
+                          util::Rng& rng) {
+    std::vector<graph::NodeId> pool(g.nodes().begin(), g.nodes().end());
+    std::size_t n = pool.size();
+    if (n < 2) return 1.0;
+    std::size_t k = std::min(budget, n);
+    if (k < n) {
+        for (std::size_t i = 0; i < k; ++i) std::swap(pool[i], pool[i + rng.index(n - i)]);
+        pool.resize(k);
+    }
+    return std::max(1.0, graph::stretch_vs(g, ref, pool));
+}
+
+/// A reference G' over n nodes (sparse, may be disconnected itself) and a
+/// healed G derived from it: some nodes dead, some extra edges, some black
+/// edges dropped (which can disconnect G), and nodes G' never saw.
+std::pair<graph::Graph, graph::Graph> random_pair(std::size_t n, std::size_t drop_edges,
+                                                  util::Rng& rng) {
+    graph::Graph ref;
+    for (std::size_t i = 0; i < n; ++i) ref.add_node();
+    for (graph::NodeId v = 1; v < n; ++v) {
+        ref.add_black_edge(v, static_cast<graph::NodeId>(rng.index(v)));
+        auto u = static_cast<graph::NodeId>(rng.index(n));
+        if (u != v) ref.add_black_edge(v, u);
+    }
+    graph::Graph g = ref;
+    for (std::size_t i = 0; i < n / 10; ++i) {
+        auto v = static_cast<graph::NodeId>(rng.index(n));
+        if (g.has_node(v) && g.node_count() > n / 2) g.remove_node(v);
+    }
+    for (std::size_t i = 0; i < n / 4; ++i) {
+        auto u = static_cast<graph::NodeId>(rng.index(n));
+        auto v = static_cast<graph::NodeId>(rng.index(n));
+        if (u != v && g.has_node(u) && g.has_node(v)) g.add_black_edge(u, v);
+    }
+    for (std::size_t i = 0; i < drop_edges; ++i) {
+        auto u = static_cast<graph::NodeId>(rng.index(n));
+        if (!g.has_node(u) || g.degree(u) == 0) continue;
+        g.remove_black_claim(u, g.neighbors(u)[rng.index(g.degree(u))]);
+    }
+    for (int i = 0; i < 3; ++i) {
+        graph::NodeId fresh = g.add_node();  // absent from the reference
+        for (graph::NodeId v : {graph::NodeId{1}, graph::NodeId{2}, graph::NodeId{3}})
+            if (g.has_node(v)) g.add_black_edge(fresh, v);
+    }
+    return {std::move(g), std::move(ref)};
 }
 
 }  // namespace
@@ -155,4 +207,37 @@ TEST(StretchProbe, UnbatchedCallAfterASampleBatchRebuildsTheReference) {
     util::Rng fresh_rng(5);
     EXPECT_DOUBLE_EQ(spectral::ProbeEngine().sampled_stretch(g, ref, 100, fresh_rng), 3.0);
     EXPECT_DOUBLE_EQ(engine.sampled_stretch(g, ref, 100, rng), 3.0);
+}
+
+TEST(StretchProbe, MultiSourceMatchesPerSourceBfs) {
+    // The probe runs its sources through one multi-source BFS per graph,
+    // in chunks of up to 8; the per-source oracle must agree bit for bit
+    // (+infinity included) at every budget around the chunk boundaries, and
+    // both must leave the rng in the same state.
+    util::Rng graphs(2024);
+    std::size_t finite = 0, infinite = 0;
+    for (int round = 0; round < 6; ++round) {
+        std::size_t n = 150 + static_cast<std::size_t>(round) * 10;
+        std::size_t drop = round % 3 == 0 ? 0 : static_cast<std::size_t>(round) * 4;
+        auto [g, ref] = random_pair(n, drop, graphs);
+        spectral::ProbeEngine engine;
+        for (std::size_t budget : {std::size_t{1}, std::size_t{4}, std::size_t{7},
+                                   std::size_t{8}, std::size_t{9}, std::size_t{63},
+                                   std::size_t{64}, std::size_t{65}, std::size_t{130},
+                                   g.node_count(), g.node_count() + 9}) {
+            SCOPED_TRACE("round " + std::to_string(round) + " budget " +
+                         std::to_string(budget));
+            util::Rng probe_rng(round * 1000 + budget);
+            util::Rng oracle_rng = probe_rng;
+            double sampled = engine.sampled_stretch(g, ref, budget, probe_rng);
+            double oracle = per_source_stretch(g, ref, budget, oracle_rng);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(sampled), std::bit_cast<std::uint64_t>(oracle));
+            EXPECT_EQ(probe_rng.index(1u << 30), oracle_rng.index(1u << 30));
+            (std::isinf(sampled) ? infinite : finite) += 1;
+        }
+    }
+    // Both outcomes occur, so the comparison covers the +infinity exit and
+    // the finite max.
+    EXPECT_GT(finite, 0u);
+    EXPECT_GT(infinite, 0u);
 }
