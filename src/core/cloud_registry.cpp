@@ -46,7 +46,10 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
         index_.push_back({color, slot});
     }
     for (NodeId v : cloud->topology.members()) register_membership(v, color, kind);
-    sync_claims(g, *cloud, claims_added, nullptr);
+    // A fresh color holds no claims yet: claim the whole projection.
+    cloud->topology.collect_edges(desired_);
+    for (const auto& [a, b] : desired_) g.add_color_claim(a, b, color);
+    if (claims_added != nullptr) *claims_added += desired_.size();
     fix_leadership(*cloud, rng);
     return color;
 }
@@ -68,11 +71,10 @@ void CloudRegistry::release_cloud(ColorId color) {
 void CloudRegistry::destroy_cloud(Graph& g, ColorId color, std::size_t* claims_removed) {
     Cloud* cloud = find(color);
     XHEAL_EXPECTS(cloud != nullptr);
-    for (const auto& [u, v] : cloud->claimed) {
-        if (g.has_node(u) && g.has_node(v)) {
-            g.remove_color_claim(u, v, color);
-            if (claims_removed != nullptr) ++*claims_removed;
-        }
+    // Pairs with a member the adversary already deleted find no claim in g.
+    cloud->topology.collect_edges(desired_);
+    for (const auto& [u, v] : desired_) {
+        if (g.remove_color_claim(u, v, color) && claims_removed != nullptr) ++*claims_removed;
     }
     for (NodeId v : cloud->topology.members()) unregister_membership(v, color);
     release_cloud(color);
@@ -85,22 +87,19 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
     XHEAL_EXPECTS(cloud != nullptr);
     XHEAL_EXPECTS(cloud->has_member(v));
 
-    // Purge claims that touch v. If v is still in the graph the claims must
-    // be physically released; if the adversary already deleted v the edges
-    // are gone and only the mirror set needs cleaning. In-place compaction:
-    // no allocation.
-    auto keep = cloud->claimed.begin();
-    for (auto it = cloud->claimed.begin(); it != cloud->claimed.end(); ++it) {
-        if (it->first == v || it->second == v) {
-            if (!deleted_from_graph) {
-                g.remove_color_claim(it->first, it->second, color);
-                if (claims_removed != nullptr) ++*claims_removed;
-            }
-        } else {
-            *keep++ = *it;
+    // Release the claims that touch v. If the adversary already deleted v,
+    // its edges took the claims with them. Otherwise they are listed from
+    // v's row (ascending) into scratch first, since releasing a claim can
+    // erase its edge from that row.
+    if (!deleted_from_graph) {
+        claimed_.clear();
+        for (const auto& [u, claims] : g.row(v)) {
+            if (claims.has_color(color))
+                claimed_.push_back({std::min(u, v), std::max(u, v)});
         }
+        for (const auto& [a, b] : claimed_) g.remove_color_claim(a, b, color);
+        if (claims_removed != nullptr) *claims_removed += claimed_.size();
     }
-    cloud->claimed.erase(keep, cloud->claimed.end());
     unregister_membership(v, color);
     if (deleted_from_graph) retire_membership_row(v);
     cloud->erase_bridge_assoc(v);
@@ -110,14 +109,6 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
         NodeId survivor = graph::invalid_node;
         for (NodeId m : cloud->topology.members()) {
             if (m != v) survivor = m;
-        }
-        // All remaining claims involve v only (a 2-member cloud has one
-        // edge); release anything left for safety.
-        for (const auto& [a, b] : cloud->claimed) {
-            if (g.has_node(a) && g.has_node(b)) {
-                g.remove_color_claim(a, b, color);
-                if (claims_removed != nullptr) ++*claims_removed;
-            }
         }
         if (survivor != graph::invalid_node) unregister_membership(survivor, color);
         release_cloud(color);
@@ -219,37 +210,40 @@ bool CloudRegistry::in_any_cloud(NodeId v) const {
 void CloudRegistry::sync_claims(Graph& g, Cloud& cloud, std::size_t* added,
                                 std::size_t* removed) {
     cloud.topology.collect_edges(desired_);  // sorted ascending, into scratch
+    // The color's claims as g holds them: members and their rows ascend, so
+    // the pairs (u, w > u) come out sorted.
+    claimed_.clear();
+    for (NodeId u : cloud.topology.members()) {
+        for (const auto& [w, claims] : g.row(u)) {
+            if (w > u && claims.has_color(cloud.color)) claimed_.push_back({u, w});
+        }
+    }
 
-    for (const auto& pair : cloud.claimed) {
+    for (const auto& pair : claimed_) {
         if (!std::binary_search(desired_.begin(), desired_.end(), pair)) {
             g.remove_color_claim(pair.first, pair.second, cloud.color);
             if (removed != nullptr) ++*removed;
         }
     }
     for (const auto& pair : desired_) {
-        if (!std::binary_search(cloud.claimed.begin(), cloud.claimed.end(), pair)) {
+        if (!std::binary_search(claimed_.begin(), claimed_.end(), pair)) {
             g.add_color_claim(pair.first, pair.second, cloud.color);
             if (added != nullptr) ++*added;
         }
     }
-    cloud.claimed.assign(desired_.begin(), desired_.end());
 }
 
 void CloudRegistry::apply_splice(Graph& g, Cloud& cloud, std::size_t* added,
                                  std::size_t* removed) {
     // A removed candidate only loses its claim if no other cycle still
-    // realizes the pair; candidates touching an already-purged member are
-    // skipped by the mirror check.
+    // realizes the pair; candidates touching the departed member find no
+    // claim left in g. Only the claims g reports as changed are counted.
     for (const auto& [a, b] : delta_.splice.removed) {
         if (cloud.topology.has_edge(a, b)) continue;
-        if (!cloud.drop_claim(a, b)) continue;
-        if (g.has_node(a) && g.has_node(b)) g.remove_color_claim(a, b, cloud.color);
-        if (removed != nullptr) ++*removed;
+        if (g.remove_color_claim(a, b, cloud.color) && removed != nullptr) ++*removed;
     }
     for (const auto& [a, b] : delta_.splice.added) {
-        if (!cloud.add_claim(a, b)) continue;
-        g.add_color_claim(a, b, cloud.color);
-        if (added != nullptr) ++*added;
+        if (g.add_color_claim(a, b, cloud.color) && added != nullptr) ++*added;
     }
 }
 
@@ -321,9 +315,9 @@ void CloudRegistry::retire_membership_row(NodeId v) {
 
 void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
                               std::size_t live_count) {
-    // Live clouds carry renumbered-graph ids everywhere: topology, claim
-    // mirror, bridge associations, leadership. Pooled clouds are skipped —
-    // create_cloud fully re-initializes them on revival.
+    // Live clouds carry renumbered-graph ids everywhere: topology, bridge
+    // associations, leadership (the graph renumbers its own claims). Pooled
+    // clouds are skipped — create_cloud fully re-initializes them on revival.
     for (const auto& [color, slot] : index_) pool_[slot]->remap_ids(old_to_new);
 
     // Slide membership rows down to their new ids. The map is ascending
@@ -378,12 +372,10 @@ void CloudRegistry::verify(const Graph& g) const {
             XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
                                             memberships_[v].end(), color));
         }
-        // Claims mirror the graph exactly and stay within the membership.
-        XHEAL_ASSERT(cloud->topology.edges() == cloud->claimed);
-        for (const auto& [u, v] : cloud->claimed) {
-            XHEAL_ASSERT(cloud->has_member(u) && cloud->has_member(v));
+        // Every pair of the topology's projection is claimed in g (the
+        // converse is the graph sweep below).
+        for (const auto& [u, v] : cloud->topology.edges())
             XHEAL_ASSERT(g.has_color_claim(u, v, color));
-        }
         // Leadership invariant.
         XHEAL_ASSERT(cloud->leader != graph::invalid_node);
         XHEAL_ASSERT(cloud->has_member(cloud->leader));
@@ -426,12 +418,12 @@ void CloudRegistry::verify(const Graph& g) const {
         XHEAL_ASSERT(secondary_count <= 1);
         XHEAL_ASSERT(secondary_of_[v] == secondary);
     }
-    // Every color claim in the graph belongs to a live cloud that mirrors it.
+    // Every color claim in the graph is a pair of a live cloud's topology.
     g.for_each_edge([&](NodeId u, NodeId v, const graph::EdgeClaims& claims) {
         for (ColorId c : claims.colors) {
             const Cloud* cloud = find(c);
             XHEAL_ASSERT(cloud != nullptr);
-            XHEAL_ASSERT(cloud->has_claim(u, v));
+            XHEAL_ASSERT(cloud->topology.has_edge(u, v));
         }
     });
 }

@@ -2,7 +2,9 @@
 //
 // CloudRegistry owns all clouds, tracks node -> cloud memberships and keeps
 // each cloud's color claims in the network graph synchronized with its
-// topology (creating, rebuilding, growing and shrinking clouds). Policy —
+// topology (creating, rebuilding, growing and shrinking clouds). The claims
+// live only in the graph's per-edge EdgeClaims; the registry reads them
+// there and reads the pairs a cloud must claim from its topology. Policy —
 // which clouds to form, free-node selection, sharing, combining — lives in
 // XhealHealer; the registry only provides safe primitives and maintains the
 // structural invariants:
@@ -113,16 +115,16 @@ public:
                    std::size_t live_count);
 
 private:
-    /// Full resync: diff the cloud's topology projection against its claim
-    /// mirror and apply the changes to g. Used after constructions, mode
-    /// switches and rebuilds; runs on reusable scratch (no allocation at
-    /// capacity). Counts added/removed claims if requested.
+    /// Full resync: diff the cloud's topology projection against the claims
+    /// of its color found on the members' graph rows and apply the changes
+    /// to g. Used after mode switches and rebuilds; runs on reusable scratch
+    /// (no allocation at capacity). Counts added/removed claims if requested.
     void sync_claims(graph::Graph& g, Cloud& cloud, std::size_t* added,
                      std::size_t* removed);
 
     /// Incremental sync: resolve the candidates of `delta_` (one splice)
-    /// against the topology and the claim mirror, applying only the claims
-    /// that actually changed. The steady-state path — no allocation.
+    /// against the topology and g's claims, counting only the claims g
+    /// reports as changed. The steady-state path — no allocation.
     void apply_splice(graph::Graph& g, Cloud& cloud, std::size_t* added,
                       std::size_t* removed);
 
@@ -149,7 +151,7 @@ private:
     /// Cloud arena: pool_ owns every Cloud ever created (unique_ptr so Cloud
     /// pointers stay stable); destroyed clouds push their slot onto
     /// free_slots_ and create_cloud revives them in place, retaining the
-    /// topology/claim/bridge buffer capacities — the structural repair path
+    /// topology and bridge buffer capacities — the structural repair path
     /// allocates nothing at steady state. index_ is the live directory,
     /// sorted by color; colors are allocated monotonically and never reused,
     /// so registration is always a push_back.
@@ -173,7 +175,8 @@ private:
     // Repair-path scratch, reused across every mutation (zero steady-state
     // allocations; see DESIGN.md decision 6).
     expander::TopoDelta delta_;
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> desired_;
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> desired_;  ///< topology pairs
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> claimed_;  ///< pairs g claims
 };
 
 }  // namespace xheal::core

@@ -179,7 +179,7 @@ void DistributedXheal::phase_deletion_notice(NodeId v, const std::vector<NodeId>
 void DistributedXheal::phase_fix_cloud(const HealEvent& event) {
     const Cloud* cloud = registry().find(event.color);
     if (cloud == nullptr) return;  // destroyed by a later combine
-    auto members = cloud->members_sorted();
+    const std::vector<NodeId>& members = cloud->topology.members();
     if (members.empty()) return;
 
     // H-graph DELETE splice: the deleted node's <= kappa cycle neighbors
@@ -240,9 +240,10 @@ void DistributedXheal::install_topology(ColorId color) {
     const Cloud* cloud = registry().find(color);
     if (cloud == nullptr) return;
     NodeId leader = cloud->leader;
+    cloud->topology.collect_edges(edges_);
     std::vector<sim::Message> batch;
-    batch.reserve(2 * cloud->claimed.size() + 1);
-    for (const auto& [a, b] : cloud->claimed) {
+    batch.reserve(2 * edges_.size() + 1);
+    for (const auto& [a, b] : edges_) {
         batch.push_back({leader, a, sim::tag::inform_topology, {}});
         batch.push_back({leader, b, sim::tag::inform_topology, {}});
     }
@@ -281,7 +282,7 @@ void DistributedXheal::phase_insert_member(const HealEvent& event) {
     // them, then splice in next to <= kappa cycle neighbors.
     deliver_reliably({{w, leader, sim::tag::free_query, {}}});
     deliver_reliably({{leader, w, sim::tag::free_reply, {}}});
-    auto members = cloud->members_sorted();
+    const std::vector<NodeId>& members = cloud->topology.members();
     std::size_t splices = std::min(kappa(), members.size());
     std::vector<sim::Message> batch;
     std::size_t sent = 0;
@@ -299,7 +300,8 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
 
     // Build the combined cloud's adjacency for the BFS flood.
     std::unordered_map<NodeId, std::vector<NodeId>> adj;
-    for (const auto& [a, b] : cloud->claimed) {
+    cloud->topology.collect_edges(edges_);
+    for (const auto& [a, b] : edges_) {
         adj[a].push_back(b);
         adj[b].push_back(a);
     }
@@ -337,7 +339,7 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
         }
         ctx.send(m.from, sim::tag::converge, {}, seq);  // address convergecast
     };
-    auto members = cloud->members_sorted();
+    const std::vector<NodeId>& members = cloud->topology.members();
     for (NodeId m : members) {
         if (net_.has_node(m)) net_.set_handler(m, member_handler);
     }
@@ -354,7 +356,7 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
     if (lossy_mode) {
         // Retry loop: dropped floods are repaired by the visited frontier
         // re-flooding toward still-unvisited members (deterministic order:
-        // members_sorted x claimed-edge adjacency); dropped or unacked
+        // members x claimed-edge adjacency); dropped or unacked
         // convergecasts are re-sent with their original sequence numbers.
         for (std::size_t attempt = 0; attempt < max_retries_; ++attempt) {
             std::size_t resent = 0;

@@ -33,6 +33,8 @@
 #pragma once
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "core/xheal_healer.hpp"
 #include "sim/network.hpp"
@@ -115,6 +117,9 @@ private:
     std::uint64_t next_seq_ = 1;
     std::unordered_set<std::uint64_t> acked_;
     std::size_t retries_accum_ = 0;
+    /// The installed cloud's claimed pairs (its topology's projection),
+    /// reused by every install and combine flood.
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges_;
 };
 
 }  // namespace xheal::core

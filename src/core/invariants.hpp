@@ -15,8 +15,8 @@
 
 namespace xheal::core {
 
-/// Adjacency mirror symmetry, claim mirror equality, edge-count agreement,
-/// no self-loops, every edge has at least one claim.
+/// Adjacency symmetry (both rows of an edge carry identical claims),
+/// edge-count agreement, no self-loops, every edge has at least one claim.
 void check_graph_consistency(const graph::Graph& g);
 
 /// Every G' edge whose endpoints are both alive in g is present in g
@@ -47,11 +47,12 @@ struct InvariantFinding {
 ///
 /// Oracles are split by cost so callers can run the structural set after
 /// every event and the spectral set only at a coarser cadence:
-///   structural — claim-mirror/graph consistency, reference-edge presence,
+///   structural — graph consistency, reference-edge presence,
 ///                connectivity, the Lemma 3 degree bound (xheal-family
 ///                healers; disable for baselines, whose degree is unbounded
-///                by design), the healer's own deep self-check, plus any
-///                registered hooks (e.g. allocation-soak counters).
+///                by design) and the healer's own deep self-check (for
+///                Xheal: every cloud's topology agrees with the color claims
+///                in the graph's EdgeClaims, the only place claims live).
 ///   spectral   — lambda2 floor through a caller-supplied probe (the PR 3
 ///                sparse ProbeEngine in trace_tools), enabled by
 ///                set_lambda2_floor.
@@ -73,13 +74,6 @@ public:
         lambda2_probe_ = std::move(probe);
     }
 
-    /// Register an extra per-check hook (soak counters, custom oracles).
-    /// The hook returns an empty string to pass, or a failure description.
-    void add_hook(std::string oracle,
-                  std::function<std::string(const HealingSession&)> hook) {
-        hooks_.push_back({std::move(oracle), std::move(hook)});
-    }
-
     /// Run the cheap structural oracles, appending findings to `out`.
     void check_structural(const HealingSession& session,
                           std::vector<InvariantFinding>& out) const;
@@ -93,16 +87,10 @@ public:
     }
 
 private:
-    struct Hook {
-        std::string oracle;
-        std::function<std::string(const HealingSession&)> check;
-    };
-
     std::size_t kappa_;
     bool degree_bound_ = true;
     double lambda2_floor_ = std::nan("");
     std::function<double(const graph::Graph&)> lambda2_probe_;
-    std::vector<Hook> hooks_;
 };
 
 }  // namespace xheal::core

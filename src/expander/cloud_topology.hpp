@@ -63,7 +63,6 @@ public:
     }
     /// Members ascending; a reference into the topology (no copy).
     const std::vector<graph::NodeId>& members() const { return members_; }
-    std::vector<graph::NodeId> members_sorted() const { return members_; }
 
     /// Add a member. Incremental H-graph INSERT when in expander mode; a
     /// clique crossing the kappa+1 threshold is rebuilt as a fresh H-graph.

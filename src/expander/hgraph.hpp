@@ -36,7 +36,8 @@ public:
     /// remove(). Candidates are not deduplicated and are only *candidates*:
     /// a removed pair may still be adjacent through another cycle and an
     /// added pair may already carry the claim — resolve against
-    /// has_adjacency() and the claim mirror. Self-pairs are never emitted.
+    /// has_adjacency() and the graph's claims (EdgeClaims, the only copy).
+    /// Self-pairs are never emitted.
     struct SpliceDelta {
         std::vector<std::pair<graph::NodeId, graph::NodeId>> removed;
         std::vector<std::pair<graph::NodeId, graph::NodeId>> added;

@@ -247,11 +247,12 @@ void Graph::add_black_edge(NodeId u, NodeId v) {
     cv->black = true;
 }
 
-void Graph::add_color_claim(NodeId u, NodeId v, ColorId color) {
+bool Graph::add_color_claim(NodeId u, NodeId v, ColorId color) {
     XHEAL_EXPECTS(color != invalid_color);
     auto [cu, cv] = ensure_edge(u, v);
-    if (!cu->colors.insert(color)) return;
+    if (!cu->colors.insert(color)) return false;
     cv->colors.insert(color);
+    return true;
 }
 
 void Graph::erase_edge(NodeId u, NodeId v) {

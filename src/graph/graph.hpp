@@ -10,7 +10,8 @@
 // The edge physically exists while at least one claim remains. Dropping a
 // cloud's claim on an edge that is also black reverts it to a black edge
 // instead of deleting it, so every G' edge between two surviving nodes is
-// always present in the healed graph (DESIGN.md decision 1).
+// always present in the healed graph (DESIGN.md decision 1). The claim
+// sets here are the only record of which cloud claims which edge.
 //
 // Storage is a slot-indexed flat adjacency (DESIGN.md decision 2): node ids
 // are allocated monotonically, so a dense vector of slots indexed directly
@@ -25,7 +26,7 @@
 // densely onto [0, node_count()) in ascending order, tombstones and their
 // slot storage are reclaimed, and the next epoch allocates from the dense
 // top. Because the map is order-preserving, every sorted structure (rows,
-// claim mirrors, member lists) stays sorted under an in-place rewrite.
+// member lists) stays sorted under an in-place rewrite.
 #pragma once
 
 #include <algorithm>
@@ -355,8 +356,8 @@ public:
     void add_black_edge(NodeId u, NodeId v);
 
     /// Add color claim c on (u, v). Idempotent. u != v, both present,
-    /// c != invalid_color.
-    void add_color_claim(NodeId u, NodeId v, ColorId c);
+    /// c != invalid_color. Returns true if the claim is new.
+    bool add_color_claim(NodeId u, NodeId v, ColorId c);
 
     /// Remove color claim c from (u, v) if present; removes the edge when no
     /// claims remain. Returns true if the claim existed.

@@ -7,6 +7,13 @@
 
 namespace xheal::trace_tools {
 
+namespace {
+
+/// Never apply a delete at or below this population.
+constexpr std::size_t min_alive = 2;
+
+}  // namespace
+
 using scenario::ScenarioSpec;
 using scenario::Trace;
 using scenario::TraceEvent;
@@ -40,7 +47,6 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
         suite.set_lambda2_floor(options_.lambda2_floor, [this](const graph::Graph& g) {
             return probe_engine_.lambda2(g);
         });
-    if (options_.configure_suite) options_.configure_suite(suite);
 
     ExecResult result;
     scenario::TraceHasher hasher;
@@ -61,8 +67,6 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     // unconditionally. Note such streams cannot go through the strict
     // ScenarioRunner::replay — it surfaces the same exception, which is the
     // reproduction.
-    bool session_dead = false;
-
     std::size_t since_check = 0;
     for (const TraceEvent& event : events) {
         // Canonicalize, or skip the event as infeasible on this session.
@@ -90,7 +94,7 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
             canonical.neighbors.clear();
             if (event.kind == TraceEvent::Kind::remove) {
                 feasible = session.current().has_node(event.node) &&
-                           session.current().node_count() > options_.min_alive;
+                           session.current().node_count() > min_alive;
             } else {
                 // Epoch boundaries stay in the canonical stream (fuzzed
                 // streams may move them anywhere); the live count is
@@ -106,6 +110,7 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
         }
 
         std::string exception;
+        bool session_dead = false;
         try {
             canonical.node = applier.apply(canonical);
         } catch (const std::exception& e) {
@@ -126,22 +131,22 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
             since_check = 0;
             suite.check_structural(session, findings);
             record_findings(result.applied.size() - 1);
-            if (options_.stop_on_violation && result.failed()) break;
+            if (result.failed()) break;  // stop at the first finding
         }
     }
 
     // Final checks: the structural set if the cadence missed the last
     // event, then the spectral oracle (violations found here are located at
-    // the last applied event). A session killed by a healer exception is
-    // not probed further.
-    if (!session_dead && (!result.failed() || !options_.stop_on_violation)) {
+    // the last applied event). A session that already produced a finding —
+    // a healer exception included — is not probed further.
+    if (!result.failed()) {
         std::size_t final_index =
             result.applied.empty() ? 0 : result.applied.size() - 1;
         if (since_check != 0 || options_.check_every == 0) {
             suite.check_structural(session, findings);
             record_findings(final_index);
         }
-        if (!(options_.stop_on_violation && result.failed())) {
+        if (!result.failed()) {
             suite.check_spectral(session, findings);
             record_findings(final_index);
         }

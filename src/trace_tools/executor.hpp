@@ -15,12 +15,14 @@
 // (over a batch-1 copy of the spec, each event under its phase's fault
 // model). So a canonical trace replays byte-for-byte through `xheal_run
 // replay` against the same spec — that is what makes shrunk reproducers
-// standalone.
+// standalone. Execution stops at the first finding (the tail of a stream
+// cannot un-break an invariant, and shrinking wants the shortest failing
+// prefix anyway), and a delete is never applied at or below two live
+// nodes.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,15 +44,6 @@ struct ExecOptions {
     /// healers — the executor drops it automatically when the spec's healer
     /// provides no cloud registry (baselines have unbounded degree).
     bool degree_bound = true;
-    /// Stop applying events at the first finding (the tail of the stream
-    /// cannot un-break an invariant, and shrinking wants the shortest
-    /// failing prefix anyway).
-    bool stop_on_violation = true;
-    /// Never apply a delete at or below this population.
-    std::size_t min_alive = 2;
-    /// Caller hook to extend the oracle set (soak counters, extra checks)
-    /// before execution starts.
-    std::function<void(core::InvariantSuite&)> configure_suite;
 };
 
 /// One oracle finding, located in the canonical applied stream: the
@@ -65,7 +58,7 @@ struct ExecViolation {
 
 struct ExecResult {
     /// Canonical applied events (see file comment). A prefix of the input
-    /// modulo skipped events when stop_on_violation hit.
+    /// modulo skipped events: execution stops at the first finding.
     std::vector<scenario::TraceEvent> applied;
     std::uint64_t trace_hash = 0;   ///< FNV stream hash of `applied`
     std::uint64_t fingerprint = 0;  ///< final healed graph

@@ -115,7 +115,7 @@ TraceFuzzer::TraceFuzzer(ScenarioSpec base, FuzzOptions options)
     // every candidate run through ScenarioRunner would pay the final
     // metric-probe cost (lambda2/stretch solves at scale) for a verdict
     // the fuzzer ignores. Strip them once here: the *oracles* are the
-    // invariant suite (connectivity, claim mirror, Lemma 3 degree bound,
+    // invariant suite (connectivity, cloud claims, Lemma 3 degree bound,
     // plus the lambda2 floor the CLI derives from an `expect lambda2 >=`
     // clause into options.exec before construction) — terminal
     // expectations on other metrics (expansion, stretch, nodes) are

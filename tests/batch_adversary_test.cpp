@@ -1,5 +1,5 @@
 // Batched adversary (grammar: `batch=k` phase key) — k deletions are
-// staged per repair flush, amortizing H-graph splices and claim-mirror
+// staged per repair flush, amortizing H-graph splices and claim
 // syncs across the batch (DESIGN.md decision 9). These tests pin the
 // contract that makes batch>1 safe to ship:
 //

@@ -186,6 +186,33 @@ TEST_F(RegistryTest, OverlappingCloudsShareEdgeClaims) {
     reg.verify(g);
 }
 
+TEST_F(RegistryTest, VerifyRejectsClaimDriftFromTheTopology) {
+    // Claims live only in g, so verify() compares the topology's projection
+    // with g's claims of the cloud's color in both directions.
+    add_nodes(16);
+    ColorId c = reg.create_cloud(g, CloudKind::primary, ids(16), rng);
+    const Cloud* cloud = reg.find(c);
+    ASSERT_EQ(cloud->topology.mode(), xheal::expander::CloudTopology::Mode::hgraph);
+    reg.verify(g);
+
+    // A stray claim of c on a member pair the topology does not contain.
+    NodeId u = 0;
+    NodeId v = 1;
+    while (cloud->topology.has_edge(u, v)) ++v;
+    ASSERT_LT(v, 16u);
+    ASSERT_TRUE(g.add_color_claim(u, v, c));
+    EXPECT_THROW(reg.verify(g), ContractViolation);
+    ASSERT_TRUE(g.remove_color_claim(u, v, c));
+    reg.verify(g);
+
+    // A topology pair whose claim was removed from g.
+    auto [a, b] = cloud->topology.edges().front();
+    ASSERT_TRUE(g.remove_color_claim(a, b, c));
+    EXPECT_THROW(reg.verify(g), ContractViolation);
+    ASSERT_TRUE(g.add_color_claim(a, b, c));
+    reg.verify(g);
+}
+
 TEST_F(RegistryTest, BridgeAssocPurgedOnRemoval) {
     add_nodes(6);
     ColorId p = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);

@@ -66,7 +66,8 @@ TEST(Graph, RecoloringKeepsOneEdge) {
     g.add_node();
     g.add_node();
     g.add_black_edge(0, 1);
-    g.add_color_claim(0, 1, 3);
+    EXPECT_TRUE(g.add_color_claim(0, 1, 3));
+    EXPECT_FALSE(g.add_color_claim(1, 0, 3));  // already claimed: no-op
     EXPECT_EQ(g.edge_count(), 1u);
     EXPECT_TRUE(g.claims(0, 1).black);
     EXPECT_TRUE(g.claims(0, 1).has_color(3));
