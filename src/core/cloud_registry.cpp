@@ -361,6 +361,7 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
 }
 
 void CloudRegistry::verify(const Graph& g) const {
+    std::vector<std::pair<NodeId, NodeId>> pairs;  // reused across the clouds
     for (const auto& [color, slot] : index_) {
         const Cloud* cloud = pool_[slot].get();
         XHEAL_ASSERT(cloud->color == color);
@@ -374,8 +375,8 @@ void CloudRegistry::verify(const Graph& g) const {
         }
         // Every pair of the topology's projection is claimed in g (the
         // converse is the graph sweep below).
-        for (const auto& [u, v] : cloud->topology.edges())
-            XHEAL_ASSERT(g.has_color_claim(u, v, color));
+        cloud->topology.collect_edges(pairs);
+        for (const auto& [u, v] : pairs) XHEAL_ASSERT(g.has_color_claim(u, v, color));
         // Leadership invariant.
         XHEAL_ASSERT(cloud->leader != graph::invalid_node);
         XHEAL_ASSERT(cloud->has_member(cloud->leader));

@@ -1,14 +1,11 @@
 #include "core/distributed_xheal.hpp"
 
 #include <algorithm>
-#include <tuple>
-#include <unordered_map>
 
 #include "util/expects.hpp"
 
 namespace xheal::core {
 
-using graph::ColorId;
 using graph::Graph;
 using graph::NodeId;
 
@@ -35,27 +32,26 @@ void DistributedXheal::set_network_faults(const NetFaults& faults) {
     net_.set_fault_model(model);
 }
 
-sim::Handler DistributedXheal::protocol_handler() {
-    return [this](const sim::Message& m, sim::Context& ctx) {
-        if (m.type == sim::tag::ack) {
-            if (!m.payload.empty()) acked_.insert(m.payload[0]);
-            return;
-        }
-        if (m.ack_seq != 0) ctx.send(m.from, sim::tag::ack, {m.ack_seq});
-    };
+void DistributedXheal::receive(const sim::Message& m) {
+    if (m.type == sim::tag::ack) {
+        acked_[m.seq] = 1;
+        return;
+    }
+    if (m.seq != 0) net_.post(m.to, m.from, sim::tag::ack, m.seq);
+    if (m.type == sim::tag::flood) visit(m);
 }
 
 void DistributedXheal::ensure_attached(const Graph& g) {
     if (attached_) return;
     for (NodeId v : g.nodes()) {
-        if (!net_.has_node(v)) net_.add_node(v, protocol_handler());
+        if (!net_.has_node(v)) net_.add_node(v);
     }
     attached_ = true;
 }
 
 void DistributedXheal::on_insert(Graph& g, NodeId v) {
     ensure_attached(g);
-    if (!net_.has_node(v)) net_.add_node(v, protocol_handler());
+    if (!net_.has_node(v)) net_.add_node(v);
     // Insertion requires no healing work (paper Section 5); neighbors'
     // NoN bookkeeping is part of the model's O(1) preprocessing.
     inner_.on_insert(g, v);
@@ -69,13 +65,13 @@ void DistributedXheal::deliver_reliably(const std::vector<sim::Message>& batch) 
         // byte-identical to the historical protocol (one delivery round per
         // 1 + latency hops, nothing else in flight).
         for (const sim::Message& m : batch) net_.post(m);
-        net_.run(model.latency + 2);
+        drain(model.latency + 2);
         XHEAL_ASSERT(net_.idle());
         return;
     }
-    const std::size_t drain = 2 * (model.latency + 1) + 2;
-    const std::uint64_t base = next_seq_;
-    next_seq_ += batch.size();
+    const std::size_t rtt = 2 * (model.latency + 1) + 2;
+    const std::uint64_t base = acked_.size();
+    acked_.resize(base + batch.size(), 0);
     std::vector<std::size_t> pending(batch.size());
     for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
     for (std::size_t attempt = 0; attempt <= max_retries_ && !pending.empty();
@@ -83,15 +79,14 @@ void DistributedXheal::deliver_reliably(const std::vector<sim::Message>& batch) 
         if (attempt > 0) retries_accum_ += pending.size();
         for (std::size_t i : pending) {
             sim::Message m = batch[i];
-            m.ack_seq = base + i;
-            net_.post(std::move(m));
+            m.seq = base + i;
+            net_.post(m);
         }
         // Timeout = the network draining (send-time drops mean every
         // surviving message resolves within one RTT).
-        net_.run(drain);
+        drain(rtt);
         XHEAL_ASSERT(net_.idle());
-        std::erase_if(pending,
-                      [&](std::size_t i) { return acked_.contains(base + i); });
+        std::erase_if(pending, [&](std::size_t i) { return acked_[base + i] != 0; });
     }
     // Bounded retry: leftovers are abandoned. Repair decisions are
     // leader-local, so an abandoned install costs fidelity only — the
@@ -102,7 +97,7 @@ RepairReport DistributedXheal::on_delete(Graph& g, NodeId v) {
     ensure_attached(g);
     XHEAL_EXPECTS(g.has_node(v));
     // Epoch boundary: a previous repair may never leak in-flight messages
-    // into this repair's bill (reset_counters-style guarantee).
+    // into this repair's bill.
     XHEAL_ASSERT(net_.idle());
     // Snapshot: the repair below removes v, so the view must be copied.
     auto nbr_view = g.neighbors(v);
@@ -112,8 +107,7 @@ RepairReport DistributedXheal::on_delete(Graph& g, NodeId v) {
 
     std::uint64_t messages_before = net_.messages_sent();
     std::uint64_t rounds_before = net_.rounds_executed();
-    acked_.clear();
-    next_seq_ = 1;
+    acked_.assign(1, 0);
     retries_accum_ = 0;
 
     // v stays on the network through the notice phase so that, under loss,
@@ -156,14 +150,14 @@ RepairReport DistributedXheal::on_delete(Graph& g, NodeId v) {
 void DistributedXheal::on_compact(Graph& g, const std::vector<NodeId>& old_to_new) {
     inner_.on_compact(g, old_to_new);
     // Between repairs the network is always drained (every phase ends in a
-    // full run()), so the mailbox directory can be rekeyed wholesale. Dead
-    // nodes already left the network when their deletion was repaired.
+    // full run()), so the node table can slide wholesale. Dead nodes already
+    // left the network when their deletion was repaired.
     if (attached_) net_.remap_nodes(old_to_new);
 }
 
 void DistributedXheal::check_consistency(const Graph& g) const {
     inner_.check_consistency(g);
-    // Every alive graph node must have a network actor once attached.
+    // Every alive graph node must be live on the network once attached.
     if (attached_) {
         for (NodeId v : g.nodes()) XHEAL_ASSERT(net_.has_node(v));
     }
@@ -172,7 +166,7 @@ void DistributedXheal::check_consistency(const Graph& g) const {
 void DistributedXheal::phase_deletion_notice(NodeId v, const std::vector<NodeId>& nbrs) {
     std::vector<sim::Message> batch;
     batch.reserve(nbrs.size());
-    for (NodeId u : nbrs) batch.push_back({v, u, sim::tag::deletion_notice, {}});
+    for (NodeId u : nbrs) batch.push_back({v, u, sim::tag::deletion_notice});
     deliver_reliably(batch);
 }
 
@@ -189,7 +183,7 @@ void DistributedXheal::phase_fix_cloud(const HealEvent& event) {
     for (std::size_t i = 0; i < splices; ++i) {
         NodeId a = members[i % members.size()];
         NodeId b = members[(i + 1) % members.size()];
-        if (a != b) batch.push_back({a, b, sim::tag::splice, {}});
+        if (a != b) batch.push_back({a, b, sim::tag::splice});
     }
     deliver_reliably(batch);
 
@@ -198,13 +192,14 @@ void DistributedXheal::phase_fix_cloud(const HealEvent& event) {
         NodeId announcer = cloud->leader;
         batch.clear();
         for (NodeId m : members) {
-            if (m != announcer) batch.push_back({announcer, m, sim::tag::leader_announce, {}});
+            if (m != announcer) batch.push_back({announcer, m, sim::tag::leader_announce});
         }
         deliver_reliably(batch);
     }
     if (event.rebuilt) {
         // Half-loss rule: leader rebuilt the expander; install it.
-        install_topology(event.color);
+        cloud->topology.collect_edges(edges_);
+        install_topology(*cloud, edges_);
     }
 }
 
@@ -213,7 +208,7 @@ void DistributedXheal::phase_dissolve(const HealEvent& event) {
     // The survivor is told the cloud is gone (by the departing leader's
     // final message).
     NodeId survivor = event.members.front();
-    deliver_reliably({{survivor, survivor, sim::tag::leader_announce, {}}});
+    deliver_reliably({{survivor, survivor, sim::tag::leader_announce}});
 }
 
 graph::NodeId DistributedXheal::run_tournament(const std::vector<NodeId>& candidates) {
@@ -226,7 +221,7 @@ graph::NodeId DistributedXheal::run_tournament(const std::vector<NodeId>& candid
         batch.clear();
         for (std::size_t i = 0; i + 1 < active.size(); i += 2) {
             // Loser reports to winner; one message per match.
-            batch.push_back({active[i + 1], active[i], sim::tag::elect, {}});
+            batch.push_back({active[i + 1], active[i], sim::tag::elect});
             winners.push_back(active[i]);
         }
         if (active.size() % 2 == 1) winners.push_back(active.back());
@@ -236,20 +231,17 @@ graph::NodeId DistributedXheal::run_tournament(const std::vector<NodeId>& candid
     return active.front();
 }
 
-void DistributedXheal::install_topology(ColorId color) {
-    const Cloud* cloud = registry().find(color);
-    if (cloud == nullptr) return;
-    NodeId leader = cloud->leader;
-    cloud->topology.collect_edges(edges_);
+void DistributedXheal::install_topology(const Cloud& cloud, const EdgeList& edges) {
+    NodeId leader = cloud.leader;
     std::vector<sim::Message> batch;
-    batch.reserve(2 * edges_.size() + 1);
-    for (const auto& [a, b] : edges_) {
-        batch.push_back({leader, a, sim::tag::inform_topology, {}});
-        batch.push_back({leader, b, sim::tag::inform_topology, {}});
+    batch.reserve(2 * edges.size() + 1);
+    for (const auto& [a, b] : edges) {
+        batch.push_back({leader, a, sim::tag::inform_topology});
+        batch.push_back({leader, b, sim::tag::inform_topology});
     }
     // Vice-leader designation rides along in the same round.
-    if (cloud->vice_leader != graph::invalid_node) {
-        batch.push_back({leader, cloud->vice_leader, sim::tag::leader_announce, {}});
+    if (cloud.vice_leader != graph::invalid_node) {
+        batch.push_back({leader, cloud.vice_leader, sim::tag::leader_announce});
     }
     deliver_reliably(batch);
 }
@@ -261,14 +253,17 @@ void DistributedXheal::phase_create_cloud(const HealEvent& event) {
         // cloud leader — one query + one reply per bridge.
         std::vector<sim::Message> batch;
         batch.reserve(event.members.size());
-        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_query, {}});
+        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_query});
         deliver_reliably(batch);
         batch.clear();
-        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_reply, {}});
+        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_reply});
         deliver_reliably(batch);
     }
     run_tournament(event.members);
-    install_topology(event.color);
+    const Cloud* cloud = registry().find(event.color);
+    if (cloud == nullptr) return;
+    cloud->topology.collect_edges(edges_);
+    install_topology(*cloud, edges_);
 }
 
 void DistributedXheal::phase_insert_member(const HealEvent& event) {
@@ -280,113 +275,117 @@ void DistributedXheal::phase_insert_member(const HealEvent& event) {
                         : cloud->leader;
     // H-graph INSERT: query the leader for random cycle positions, receive
     // them, then splice in next to <= kappa cycle neighbors.
-    deliver_reliably({{w, leader, sim::tag::free_query, {}}});
-    deliver_reliably({{leader, w, sim::tag::free_reply, {}}});
+    deliver_reliably({{w, leader, sim::tag::free_query}});
+    deliver_reliably({{leader, w, sim::tag::free_reply}});
     const std::vector<NodeId>& members = cloud->topology.members();
     std::size_t splices = std::min(kappa(), members.size());
     std::vector<sim::Message> batch;
     std::size_t sent = 0;
     for (NodeId m : members) {
         if (m == w) continue;
-        batch.push_back({w, m, sim::tag::splice, {}});
+        batch.push_back({w, m, sim::tag::splice});
         if (++sent >= splices) break;
     }
     deliver_reliably(batch);
 }
 
+std::uint32_t DistributedXheal::Flood::position(NodeId v) const {
+    auto it = std::lower_bound(members->begin(), members->end(), v);
+    XHEAL_ASSERT(it != members->end() && *it == v);
+    return static_cast<std::uint32_t>(it - members->begin());
+}
+
+void DistributedXheal::visit(const sim::Message& m) {
+    const std::uint32_t self = flood_.position(m.to);
+    if (flood_.visited[self] != 0) return;
+    flood_.visited[self] = 1;
+    const std::vector<NodeId>& members = *flood_.members;
+    for (std::uint32_t k = flood_.offsets[self]; k < flood_.offsets[self + 1]; ++k) {
+        NodeId nbr = members[flood_.targets[k]];
+        if (nbr != m.from) net_.post(m.to, nbr, sim::tag::flood);
+    }
+    sim::Message converge{m.to, m.from, sim::tag::converge};  // address convergecast
+    if (lossy()) {
+        converge.seq = acked_.size();
+        acked_.push_back(0);
+        flood_.converges.push_back(converge);
+    }
+    net_.post(converge);
+}
+
 void DistributedXheal::phase_combine(const HealEvent& event) {
     const Cloud* cloud = registry().find(event.color);
     if (cloud == nullptr || cloud->size() < 2) return;
-
-    // Build the combined cloud's adjacency for the BFS flood.
-    std::unordered_map<NodeId, std::vector<NodeId>> adj;
-    cloud->topology.collect_edges(edges_);
-    for (const auto& [a, b] : edges_) {
-        adj[a].push_back(b);
-        adj[b].push_back(a);
-    }
-
-    const bool lossy_mode = lossy();
-    // Handler-driven BFS: first flood receipt forwards the wave and
-    // convergecasts the node's address toward the root (via its parent).
-    // Under loss the convergecast requests an ack so the driver can re-send
-    // it; the flood itself is repaired by re-flooding from the visited
-    // frontier (see the retry loop below).
-    std::unordered_map<NodeId, NodeId> parent;
-    NodeId root = cloud->leader;
-    parent.emplace(root, root);
-    std::vector<std::tuple<NodeId, NodeId, std::uint64_t>> converges;
-    auto member_handler = [this, &adj, &parent, &converges, lossy_mode](
-                              const sim::Message& m, sim::Context& ctx) {
-        if (m.type == sim::tag::ack) {
-            if (!m.payload.empty()) acked_.insert(m.payload[0]);
-            return;
-        }
-        if (m.ack_seq != 0) ctx.send(m.from, sim::tag::ack, {m.ack_seq});
-        if (m.type != sim::tag::flood) return;
-        if (parent.contains(ctx.self())) return;  // already visited
-        parent.emplace(ctx.self(), m.from);
-        auto it = adj.find(ctx.self());
-        if (it != adj.end()) {
-            for (NodeId nbr : it->second) {
-                if (nbr != m.from) ctx.send(nbr, sim::tag::flood);
-            }
-        }
-        std::uint64_t seq = 0;
-        if (lossy_mode) {
-            seq = next_seq_++;
-            converges.emplace_back(ctx.self(), m.from, seq);
-        }
-        ctx.send(m.from, sim::tag::converge, {}, seq);  // address convergecast
-    };
     const std::vector<NodeId>& members = cloud->topology.members();
-    for (NodeId m : members) {
-        if (net_.has_node(m)) net_.set_handler(m, member_handler);
+
+    // The combined cloud's claimed pairs as a CSR over member positions;
+    // each row lists its neighbors in pair order.
+    cloud->topology.collect_edges(edges_);
+    flood_.members = &members;
+    const std::size_t k = members.size();
+    std::vector<std::uint32_t>& offsets = flood_.offsets;
+    std::vector<std::uint32_t>& targets = flood_.targets;
+    offsets.assign(k + 1, 0);
+    for (const auto& [a, b] : edges_) {
+        ++offsets[flood_.position(a) + 1];
+        ++offsets[flood_.position(b) + 1];
     }
+    for (std::size_t i = 0; i < k; ++i) offsets[i + 1] += offsets[i];
+    targets.resize(offsets[k]);
+    for (const auto& [a, b] : edges_) {
+        const std::uint32_t pa = flood_.position(a), pb = flood_.position(b);
+        targets[offsets[pa]++] = pb;
+        targets[offsets[pb]++] = pa;
+    }
+    // The fill advanced each row start to the next row's start.
+    for (std::size_t i = k; i > 0; --i) offsets[i] = offsets[i - 1];
+    offsets[0] = 0;
+
+    // BFS: a member's first flood receipt forwards the wave and
+    // convergecasts its address toward the root (via its parent), see
+    // visit(). Under loss the convergecast requests an ack so the driver can
+    // re-send it; the flood itself is repaired by re-flooding from the
+    // visited frontier (see the retry loop below).
+    flood_.visited.assign(k, 0);
+    flood_.converges.clear();
+    const std::uint32_t root = flood_.position(cloud->leader);
+    flood_.visited[root] = 1;
 
     const sim::FaultModel& model = net_.fault_model();
     const std::size_t budget = (model.latency + 1) * (4 * cloud->size() + 8);
-    auto root_it = adj.find(root);
-    if (root_it != adj.end()) {
-        for (NodeId nbr : root_it->second) net_.post(root, nbr, sim::tag::flood);
-    }
-    net_.run(budget);
+    for (std::uint32_t e = offsets[root]; e < offsets[root + 1]; ++e)
+        net_.post(members[root], members[targets[e]], sim::tag::flood);
+    drain(budget);
     XHEAL_ASSERT(net_.idle());
 
-    if (lossy_mode) {
+    if (lossy()) {
         // Retry loop: dropped floods are repaired by the visited frontier
         // re-flooding toward still-unvisited members (deterministic order:
         // members x claimed-edge adjacency); dropped or unacked
         // convergecasts are re-sent with their original sequence numbers.
         for (std::size_t attempt = 0; attempt < max_retries_; ++attempt) {
             std::size_t resent = 0;
-            for (NodeId u : members) {
-                if (!parent.contains(u)) continue;
-                auto it = adj.find(u);
-                if (it == adj.end()) continue;
-                for (NodeId w : it->second) {
-                    if (parent.contains(w)) continue;
-                    net_.post(u, w, sim::tag::flood);
+            for (std::uint32_t u = 0; u < k; ++u) {
+                if (flood_.visited[u] == 0) continue;
+                for (std::uint32_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+                    if (flood_.visited[targets[e]] != 0) continue;
+                    net_.post(members[u], members[targets[e]], sim::tag::flood);
                     ++resent;
                 }
             }
-            for (const auto& [child, par, seq] : converges) {
-                if (acked_.contains(seq)) continue;
-                net_.post(sim::Message{child, par, sim::tag::converge, {}, seq});
+            for (const sim::Message& c : flood_.converges) {
+                if (acked_[c.seq] != 0) continue;
+                net_.post(c);
                 ++resent;
             }
             if (resent == 0) break;
             retries_accum_ += resent;
-            net_.run(budget);
+            drain(budget);
             XHEAL_ASSERT(net_.idle());
         }
     }
-
-    // Restore protocol handlers before the leader's broadcast.
-    for (NodeId m : members) {
-        if (net_.has_node(m)) net_.set_handler(m, protocol_handler());
-    }
-    install_topology(event.color);
+    flood_.members = nullptr;
+    install_topology(*cloud, edges_);
 }
 
 }  // namespace xheal::core

@@ -14,9 +14,9 @@
 //      by the leader installing the topology (O(kappa * k) messages);
 //   4. per H-graph INSERT (sharing / bridge replacement), the O(1)
 //      leader-query protocol;
-//   5. per combine, a handler-driven BFS flood + convergecast over the
-//      combined cloud's expander edges (O(log n) rounds, O(kappa * total)
-//      messages) — the costly amortized operation.
+//   5. per combine, a BFS flood + convergecast over the combined cloud's
+//      expander edges (O(log n) rounds, O(kappa * total) messages) — the
+//      costly amortized operation.
 //
 // Lossy networks: the backend accepts a fault model (per-message drop
 // probability + integer latency, see sim::FaultModel) and hardens every
@@ -29,10 +29,13 @@
 // lossless path stays on the historical fast path (no acks, no extra
 // messages), so perfect-delivery counts are unchanged.
 //
-// The network's message and round counters feed the Theorem 5 benches.
+// Every node runs the same protocol, receive(): acks are collected,
+// ack-requesting messages are answered, and a combine flood's first receipt
+// at a member forwards the wave. The network's message and round counters
+// feed the Theorem 5 benches.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -78,14 +81,27 @@ private:
     void ensure_attached(const graph::Graph& g);
     bool lossy() const { return net_.fault_model().drop > 0.0; }
 
-    /// The default per-node handler: collects acks into acked_ and answers
-    /// ack-requesting messages. A no-op on every lossless-path message, so
-    /// perfect-delivery counts match the historical sink behavior.
-    sim::Handler protocol_handler();
+    using EdgeList = std::vector<std::pair<graph::NodeId, graph::NodeId>>;
+
+    /// Every node's protocol: collects acks into acked_, answers
+    /// ack-requesting messages, and visits the combine flood. A no-op on
+    /// every other lossless-path message, so perfect-delivery counts match
+    /// the historical sink behavior.
+    void receive(const sim::Message& m);
+
+    /// A flood message's first receipt at a member forwards the wave to its
+    /// other claimed neighbors and convergecasts toward the sender (acked
+    /// under loss, so the retry loop can re-send it).
+    void visit(const sim::Message& m);
+
+    /// Run the network until idle or `max_rounds` elapsed.
+    void drain(std::size_t max_rounds) {
+        net_.run([this](const sim::Message& m) { receive(m); }, max_rounds);
+    }
 
     /// Post `batch` and drain the network. Lossless: plain post + run (one
     /// delivery round per latency hop, exactly the historical cost). Lossy:
-    /// each message carries a fresh ack_seq; unacked messages are re-posted
+    /// each message carries a fresh seq; unacked messages are re-posted
     /// (billed as retries) up to the retry budget.
     void deliver_reliably(const std::vector<sim::Message>& batch);
 
@@ -101,9 +117,10 @@ private:
     /// messages. Returns the winner (lowest surviving index).
     graph::NodeId run_tournament(const std::vector<graph::NodeId>& candidates);
 
-    /// Leader installs the cloud's current topology: two messages per edge
-    /// (one to each endpoint), one round — the paper's O(kappa*k) install.
-    void install_topology(graph::ColorId color);
+    /// Leader installs the cloud's topology, whose projection `edges` the
+    /// caller collected: two messages per edge (one to each endpoint), one
+    /// round — the paper's O(kappa*k) install.
+    void install_topology(const Cloud& cloud, const EdgeList& edges);
 
     XhealHealer inner_;
     sim::Network net_;
@@ -113,13 +130,27 @@ private:
     std::size_t last_rounds_ = 0;
     std::uint64_t last_messages_ = 0;
     std::size_t last_retries_ = 0;
-    // Reliable-delivery state, reset per repair.
-    std::uint64_t next_seq_ = 1;
-    std::unordered_set<std::uint64_t> acked_;
+    // Reliable-delivery state, reset per repair: acked_[s] is set once the
+    // ack of sequence number s arrives. Sequence numbers are contiguous from
+    // 1 (0 asks for no ack), so acked_.size() is the next one to issue.
+    std::vector<std::uint8_t> acked_;
     std::size_t retries_accum_ = 0;
     /// The installed cloud's claimed pairs (its topology's projection),
     /// reused by every install and combine flood.
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges_;
+    EdgeList edges_;
+    /// Combine-flood scratch, reused by every combine: the cloud's claimed
+    /// pairs as a CSR over member positions (members are sorted, so a
+    /// node's position is a binary search), a visited byte per member, and
+    /// the convergecasts sent under loss. `members` is null between floods.
+    struct Flood {
+        const std::vector<graph::NodeId>* members = nullptr;
+        std::vector<std::uint32_t> offsets, targets;
+        std::vector<std::uint8_t> visited;
+        std::vector<sim::Message> converges;
+
+        std::uint32_t position(graph::NodeId v) const;
+    };
+    Flood flood_;
 };
 
 }  // namespace xheal::core

@@ -95,7 +95,7 @@ public:
     /// the live node ids through the ascending dense map `old_to_new`
     /// (indexed by old id; invalid_node marks a retired id). The graphs are
     /// already rewritten when this fires; implementations remap any
-    /// id-bearing internal state (cloud registries, mailbox keys). Only
+    /// id-bearing internal state (cloud registries, the network node table). Only
     /// ever called on a fully healed graph — no staged repairs, no
     /// in-flight messages. Must not draw from any rng stream: compaction is
     /// a pure renumbering and replay depends on the draw sequence being

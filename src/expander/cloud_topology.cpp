@@ -91,12 +91,6 @@ void CloudTopology::rebuild(util::Rng& rng) {
     }
 }
 
-std::vector<std::pair<NodeId, NodeId>> CloudTopology::edges() const {
-    std::vector<std::pair<NodeId, NodeId>> out;
-    collect_edges(out);
-    return out;
-}
-
 void CloudTopology::collect_edges(std::vector<std::pair<NodeId, NodeId>>& out) const {
     if (hgraph_active_) {
         hgraph_->collect_edges(out);

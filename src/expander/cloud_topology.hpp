@@ -102,11 +102,8 @@ public:
     }
 
     /// Simple-graph projection of the cloud's internal edges (sorted pairs,
-    /// u < v). This is the set of color claims the cloud holds.
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges() const;
-
-    /// Projection into a caller scratch buffer (cleared first), sorted
-    /// ascending. No allocation at capacity.
+    /// u < v) into a caller scratch buffer (cleared first). This is the set
+    /// of color claims the cloud holds. No allocation at capacity.
     void collect_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>& out) const;
 
 private:

@@ -1,10 +1,11 @@
 // Message type for the synchronous LOCAL-model simulator. The LOCAL model
-// (paper Section 2) does not bound message size, so the payload is an
-// arbitrary vector of words; `type` is a protocol-defined tag.
+// (paper Section 2) does not bound message size, and the protocol's bill
+// counts messages and rounds, never their content, so a message carries
+// only its endpoints, a protocol tag and a reliable-delivery sequence
+// number.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/types.hpp"
 
@@ -14,15 +15,13 @@ struct Message {
     graph::NodeId from = graph::invalid_node;
     graph::NodeId to = graph::invalid_node;
     int type = 0;
-    std::vector<std::uint64_t> payload;
-    /// Reliable-delivery sequence number; 0 means no ack requested. When
-    /// non-zero, protocol handlers reply with a tag::ack message whose
-    /// payload[0] echoes this value (lossy-network retry protocol).
-    std::uint64_t ack_seq = 0;
+    /// Reliable-delivery sequence number (lossy-network retry protocol). On
+    /// a tag::ack it names the acknowledged message; on any other message a
+    /// non-zero value asks the receiver for an ack carrying it, 0 for none.
+    std::uint64_t seq = 0;
 };
 
-/// Well-known message tags used by the Xheal repair protocol. Protocols may
-/// define additional tags above user_base.
+/// Message tags of the Xheal repair protocol.
 namespace tag {
 inline constexpr int deletion_notice = 1;   ///< neighbor informed of deletion
 inline constexpr int splice = 2;            ///< H-graph cycle splice repair
@@ -33,8 +32,7 @@ inline constexpr int free_query = 6;        ///< ask a cloud leader for a free n
 inline constexpr int free_reply = 7;        ///< leader's reply
 inline constexpr int flood = 8;             ///< BFS wave (combine operation)
 inline constexpr int converge = 9;          ///< BFS convergecast of addresses
-inline constexpr int ack = 10;              ///< delivery ack (payload[0] = ack_seq)
-inline constexpr int user_base = 100;
+inline constexpr int ack = 10;              ///< delivery ack (seq = acknowledged seq)
 }  // namespace tag
 
 }  // namespace xheal::sim

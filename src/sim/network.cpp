@@ -1,123 +1,62 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
+
 namespace xheal::sim {
 
-std::size_t Context::round() const { return network_.rounds_executed(); }
-
-void Context::send(graph::NodeId to, int type, std::vector<std::uint64_t> payload,
-                   std::uint64_t ack_seq) {
-    network_.enqueue(Message{self_, to, type, std::move(payload), ack_seq},
-                     /*faultable=*/true);
-}
-
-void Network::add_node(graph::NodeId id, Handler handler) {
+void Network::add_node(graph::NodeId id) {
+    XHEAL_EXPECTS(!stepping_);
     XHEAL_EXPECTS(!has_node(id));
-    handlers_.emplace(id, std::move(handler));
+    if (alive_.size() <= id) alive_.resize(static_cast<std::size_t>(id) + 1, 0);
+    alive_[id] = 1;
 }
 
 void Network::remove_node(graph::NodeId id) {
+    XHEAL_EXPECTS(!stepping_);
     XHEAL_EXPECTS(has_node(id));
-    if (stepping_) {
-        // Mid-round removal would destroy a handler the delivery loop may
-        // still invoke; the node absorbs the rest of this round as a sink
-        // and disappears when the round completes.
-        deferred_handlers_.emplace_back(id, Handler{});
-        removed_mid_step_.push_back(id);
-        return;
-    }
-    handlers_.erase(id);
-}
-
-void Network::set_handler(graph::NodeId id, Handler handler) {
-    XHEAL_EXPECTS(has_node(id));
-    if (stepping_) {
-        deferred_handlers_.emplace_back(id, std::move(handler));
-        return;
-    }
-    handlers_[id] = std::move(handler);
+    alive_[id] = 0;
 }
 
 void Network::remap_nodes(const std::vector<graph::NodeId>& old_to_new) {
     XHEAL_EXPECTS(idle());
     XHEAL_EXPECTS(!stepping_);
-    // Rekey through scratch: extracting while iterating an unordered_map
-    // with mutated keys is UB territory, and the handler std::functions must
-    // move, not copy (they may own captured state).
-    std::vector<std::pair<graph::NodeId, Handler>> moved;
-    moved.reserve(handlers_.size());
-    for (auto& [id, handler] : handlers_) {
-        XHEAL_EXPECTS(id < old_to_new.size() &&
-                      old_to_new[id] != graph::invalid_node);
-        moved.emplace_back(old_to_new[id], std::move(handler));
+    // Ascending slide: every target lies at or below its source, so a
+    // target below the current id is already processed and holds a bit only
+    // if an earlier id moved there too.
+    for (graph::NodeId id = 0; id < alive_.size(); ++id) {
+        if (alive_[id] == 0) continue;
+        XHEAL_EXPECTS(id < old_to_new.size());
+        const graph::NodeId to = old_to_new[id];
+        XHEAL_EXPECTS(to <= id && (to == id || alive_[to] == 0));
+        alive_[id] = 0;
+        alive_[to] = 1;
     }
-    handlers_.clear();
-    for (auto& [id, handler] : moved) handlers_.emplace(id, std::move(handler));
 }
 
-void Network::post(Message m) { enqueue(std::move(m), /*faultable=*/true); }
-
-void Network::post(graph::NodeId from, graph::NodeId to, int type,
-                   std::vector<std::uint64_t> payload) {
-    enqueue(Message{from, to, type, std::move(payload)}, /*faultable=*/true);
-}
-
-void Network::post_control(Message m) { enqueue(std::move(m), /*faultable=*/false); }
-
-void Network::enqueue(Message m, bool faultable) {
+void Network::post(const Message& m) {
     ++messages_sent_;
-    if (faultable && model_.drop > 0.0 && drop_rng_.chance(model_.drop)) {
+    if (model_.drop > 0.0 && drop_rng_.chance(model_.drop)) {
         ++messages_dropped_;
         return;
     }
-    const std::size_t slot = faultable ? model_.latency : 0;
-    if (queue_.size() <= slot) queue_.resize(slot + 1);
-    queue_[slot].push_back(std::move(m));
+    if (slots_.size() <= model_.latency) {
+        // Grow the ring with its head at index 0 so every pending bucket
+        // keeps its distance from the next step.
+        std::rotate(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                    slots_.end());
+        head_ = 0;
+        slots_.resize(model_.latency + 1);
+    }
+    slots_[(head_ + model_.latency) % slots_.size()].push_back(m);
     ++in_flight_;
 }
 
-std::size_t Network::step() {
-    if (in_flight_ == 0) return 0;
+void Network::begin_round() {
     ++rounds_;
-    std::vector<Message> current;
-    if (!queue_.empty()) {
-        current = std::move(queue_.front());
-        queue_.pop_front();
-    }
-    in_flight_ -= current.size();
-
-    stepping_ = true;
-    std::size_t delivered = 0;
-    for (const Message& m : current) {
-        auto it = handlers_.find(m.to);
-        if (it == handlers_.end()) continue;  // deleted node: message dropped
-        ++delivered;
-        if (it->second) {
-            Context ctx(*this, m.to);
-            it->second(m, ctx);
-        }
-    }
-    stepping_ = false;
-
-    // Apply swaps requested during the round, in request order, then honor
-    // mid-round removals (set_handler contract; fixes the self-destruct UB
-    // of assigning over the std::function currently on the call stack).
-    for (auto& [id, handler] : deferred_handlers_) {
-        auto it = handlers_.find(id);
-        if (it != handlers_.end()) it->second = std::move(handler);
-    }
-    deferred_handlers_.clear();
-    for (graph::NodeId id : removed_mid_step_) handlers_.erase(id);
-    removed_mid_step_.clear();
-    return delivered;
-}
-
-std::size_t Network::run(std::size_t max_rounds) {
-    std::size_t executed = 0;
-    while (!idle() && executed < max_rounds) {
-        step();
-        ++executed;
-    }
-    return executed;
+    current_.clear();
+    current_.swap(slots_[head_]);
+    head_ = (head_ + 1) % slots_.size();
+    in_flight_ -= current_.size();
 }
 
 }  // namespace xheal::sim

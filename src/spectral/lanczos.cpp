@@ -71,9 +71,9 @@ LanczosResult lanczos_smallest(const CsrGraph& csr, const std::vector<double>& k
     LanczosResult result;
     if (n == 1) {
         // Only the kernel direction exists; nothing orthogonal to deflate.
-        result.vector.assign(1, 1.0);
+        scratch.ritz.assign(1, 1.0);
         double y = 0.0;
-        apply(result.vector.data(), &y);
+        apply(scratch.ritz.data(), &y);
         result.value = y;
         result.converged = true;
         return result;
@@ -193,12 +193,13 @@ LanczosResult lanczos_smallest(const CsrGraph& csr, const std::vector<double>& k
 
     auto eig = tridiag_eigen(alphas, betas);
     result.value = eig.values.front();
-    result.vector.assign(n, 0.0);
+    std::vector<double>& ritz = scratch.ritz;
+    ritz.assign(n, 0.0);
     const auto& s = eig.vectors.front();
     for (std::size_t j = 0; j < result.iterations; ++j)
-        axpy(result.vector.data(), s[j], column(j), n);
-    double rn = std::sqrt(dot(result.vector.data(), result.vector.data(), n));
-    if (rn > 1e-14) scale(result.vector.data(), 1.0 / rn, n);
+        axpy(ritz.data(), s[j], column(j), n);
+    double rn = std::sqrt(dot(ritz.data(), ritz.data(), n));
+    if (rn > 1e-14) scale(ritz.data(), 1.0 / rn, n);
     return result;
 }
 

@@ -20,7 +20,6 @@ inline constexpr double exact_lanczos_tol = 1e-9;
 
 struct LanczosResult {
     double value = 0.0;            ///< smallest Ritz value found
-    std::vector<double> vector;    ///< corresponding Ritz vector (unit norm)
     std::size_t iterations = 0;    ///< Lanczos steps performed
     bool converged = false;        ///< Ritz value stabilized below tolerance
 };
@@ -37,11 +36,16 @@ struct LanczosScratch {
     std::vector<double> scaled;               ///< the apply's D^{-1/2} x pass
     std::vector<const double*> chain;         ///< one Gram-Schmidt sweep
     std::vector<double> alphas, betas;        ///< the tridiagonal
+    /// Output: the solve's Ritz vector (unit norm, aligned with csr.nodes()),
+    /// overwritten by the next solve. A caller that keeps it swaps it out
+    /// for a buffer of its own, so the two trade places solve after solve.
+    std::vector<double> ritz;
 };
 
 /// Smallest eigenpair of csr's normalized Laplacian restricted to the
 /// orthogonal complement of `kernel` (must be unit norm, or empty to disable
-/// deflation). Deterministic given the rng state.
+/// deflation): the value in the result, the vector in scratch.ritz.
+/// Deterministic given the rng state.
 ///
 /// `warm_start`, when non-null and of size n, seeds the iteration with that
 /// vector (re-orthogonalized against the kernel) instead of a random draw,

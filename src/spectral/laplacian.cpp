@@ -81,7 +81,7 @@ FiedlerResult fiedler(const CsrGraph& csr, std::uint64_t seed) {
     }
     auto result = lanczos_lambda2(csr, scratch, seed);
     out.lambda2 = result.value;
-    out.vector = std::move(result.vector);
+    out.vector = std::move(scratch.lanczos.ritz);
     return out;
 }
 

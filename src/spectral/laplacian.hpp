@@ -65,8 +65,9 @@ double dense_lambda2(const CsrGraph& csr, SpectralScratch& scratch,
                      std::vector<double>* fiedler_vector = nullptr);
 
 /// The Lanczos kernel: smallest eigenpair of csr's normalized Laplacian
-/// orthogonal to D^{1/2} 1, value clamped at 0, Ritz vector aligned with
-/// csr.nodes(); value 0 and an empty vector below two nodes. No
+/// orthogonal to D^{1/2} 1, value clamped at 0, Ritz vector in
+/// scratch.lanczos.ritz aligned with csr.nodes(); value 0 and no solve
+/// below two nodes. No
 /// connectivity gate: on a disconnected snapshot the value is a round-off
 /// reading of the repeated zero eigenvalue, so callers that report the
 /// paper's lambda2 count components first. Deterministic given the seed and

@@ -71,16 +71,18 @@ ProbeEngine::Lambda2Solve ProbeEngine::solve_synced(std::uint64_t seed) {
     auto result = lanczos_lambda2(csr, spectral_, seed, probe_lanczos_steps,
                                   probe_lambda2_tol, build_warm_start(csr));
     solve.value = result.value;
-    solve.ritz = std::move(result.vector);
+    solve.lanczos = true;
     return solve;
 }
 
 double ProbeEngine::commit_lambda2(Lambda2Solve solve, std::size_t components) {
-    if (solve.ritz.empty()) return solve.value;  // dense path: no gate
+    if (!solve.lanczos) return solve.value;  // dense path: no gate
     if (components != 1) return 0.0;
     const auto& ids = snap_.csr().nodes();
     warm_ids_.assign(ids.begin(), ids.end());
-    warm_vec_ = std::move(solve.ritz);
+    // The solve's buffer becomes the warm state and the old warm buffer the
+    // next solve's output: neither is reallocated at steady size.
+    warm_vec_.swap(spectral_.lanczos.ritz);
     has_warm_ = true;
     return solve.value;
 }

@@ -125,9 +125,10 @@ public:
     /// One lambda2 solve awaiting its connectivity verdict.
     struct Lambda2Solve {
         double value = 0.0;
-        /// Lanczos path: the Ritz vector, by csr.nodes(); empty on the dense
-        /// path, whose value needs no connectivity gate.
-        std::vector<double> ritz;
+        /// Lanczos path: the Ritz vector, by csr.nodes(), waits in the
+        /// engine's Lanczos scratch. False on the dense path, whose value
+        /// needs no connectivity gate.
+        bool lanczos = false;
     };
 
     /// The solve half of lambda2(g), with no connectivity gate, so it can

@@ -206,7 +206,9 @@ TEST_F(RegistryTest, VerifyRejectsClaimDriftFromTheTopology) {
     reg.verify(g);
 
     // A topology pair whose claim was removed from g.
-    auto [a, b] = cloud->topology.edges().front();
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    cloud->topology.collect_edges(pairs);
+    auto [a, b] = pairs.front();
     ASSERT_TRUE(g.remove_color_claim(a, b, c));
     EXPECT_THROW(reg.verify(g), ContractViolation);
     ASSERT_TRUE(g.add_color_claim(a, b, c));

@@ -9,8 +9,10 @@
 // draw fails here. The constants were recorded before the combine path was
 // rewritten for speed and must not move with a behaviour-neutral change.
 // The claim counters (edges added / removed) and rebuilds pin the claim
-// layer under the same churn; the lossy variant adds the message and retry
-// bill of a flood and installs that read each cloud's claim set.
+// layer under the same churn. The dist and lossy variants pin the whole
+// protocol bill (messages, rounds, retries) of the floods and installs that
+// read each cloud's claim set, lossless and under loss; the network
+// simulator must not move it.
 //
 // To re-record after an *intentional* semantic change, run each variant
 // through `xheal_run run` (the spec text is built by `variant()` below) and
@@ -54,27 +56,28 @@ struct Variant {
     std::size_t edges_removed;
     std::size_t rebuilds;
     std::size_t messages;  ///< protocol bill (0 for the in-process healer)
+    std::size_t rounds;    ///< synchronous rounds of that bill
     std::size_t retries;   ///< loss-forced re-sends (0 on a lossless network)
 };
 
 constexpr Variant kVariants[] = {
     {"seed1", 1, "healer xheal d=2", "", 0x2f10e6f67a74ea0cull, 0xd6fba94546902205ull,
-     1322, 309778, 287141, 144, 0, 0},
+     1322, 309778, 287141, 144, 0, 0, 0},
     {"seed2", 2, "healer xheal d=2", "", 0x3b86e2e72ea97807ull, 0x56817a44f8482829ull,
-     1319, 336256, 313288, 127, 0, 0},
+     1319, 336256, 313288, 127, 0, 0, 0},
     {"seed3", 3, "healer xheal d=2", "", 0x89669fe4cf255ff4ull, 0x28c29ccf372d84c9ull,
-     1296, 290089, 267427, 126, 0, 0},
+     1296, 290089, 267427, 126, 0, 0, 0},
     // Same adversary stream as seed1 (the random deleter ignores the
     // healer), different repair: one structural flush per 8 deletions.
     {"batch8", 1, "healer xheal d=2", " batch=8", 0x2f10e6f67a74ea0cull,
-     0x29cc75574cd9f8a8ull, 123, 97656, 75252, 190, 0, 0},
+     0x29cc75574cd9f8a8ull, 123, 97656, 75252, 190, 0, 0, 0},
     // The message-passing healer reaches seed1's repaired graph.
     {"dist", 1, "healer xheal-dist d=2", "", 0x2f10e6f67a74ea0cull, 0xd6fba94546902205ull,
-     1322, 309778, 287141, 144, 1221206, 0},
+     1322, 309778, 287141, 144, 1221206, 30115, 0},
     // Under loss the combine flood and every topology install read the
     // cloud's claim set; dropped messages are re-sent (retries).
     {"lossy", 1, "healer xheal-dist d=2 drop=0.05 latency=1", "", 0x2f10e6f67a74ea0cull,
-     0xd6fba94546902205ull, 1322, 309778, 287141, 144, 2149757, 86430},
+     0xd6fba94546902205ull, 1322, 309778, 287141, 144, 2149757, 152728, 86430},
 };
 
 void PrintTo(const Variant& v, std::ostream* os) { *os << v.label; }
@@ -108,6 +111,7 @@ TEST_P(CombinePin, TraceHashAndFingerprintArePinned) {
     EXPECT_EQ(totals.edges_removed, v.edges_removed);
     EXPECT_EQ(totals.rebuilds, v.rebuilds);
     EXPECT_EQ(result.final_sample.messages, v.messages);
+    EXPECT_EQ(result.final_sample.rounds, v.rounds);
     EXPECT_EQ(result.final_sample.retries, v.retries);
     EXPECT_EQ(result.trace_hash, v.trace_hash)
         << std::hex << "got 0x" << result.trace_hash;

@@ -31,7 +31,9 @@ TEST(DistributedProtocol, Case1CostDecomposition) {
     const auto& reg = healer.registry();
     auto colors = reg.colors();
     ASSERT_EQ(colors.size(), 1u);
-    std::size_t cloud_edges = reg.find(colors.front())->topology.edges().size();
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    reg.find(colors.front())->topology.collect_edges(pairs);
+    std::size_t cloud_edges = pairs.size();
 
     std::size_t expected = k                      // deletion notices
                            + (k - 1)              // tournament messages
@@ -112,7 +114,9 @@ TEST(DistributedProtocol, CombineFloodCoversCombinedCloud) {
             if (ev.kind != HealEvent::Kind::combine) continue;
             const Cloud* cloud = healer.registry().find(ev.color);
             if (cloud == nullptr) continue;  // absorbed by a later event
-            EXPECT_GE(report.messages, cloud->topology.edges().size());
+            std::vector<std::pair<NodeId, NodeId>> pairs;
+            cloud->topology.collect_edges(pairs);
+            EXPECT_GE(report.messages, pairs.size());
             EXPECT_LE(report.rounds,
                       4 * static_cast<std::size_t>(
                               std::log2(static_cast<double>(cloud->size()) + 2)) +

@@ -9,13 +9,16 @@ using namespace xheal::sim;
 using xheal::graph::NodeId;
 using xheal::util::ContractViolation;
 
+/// A deliver callable for networks whose nodes only absorb messages.
+void sink(const Message&) {}
+
 TEST(Network, MessagesDeliveredNextRound) {
     Network net;
     std::vector<int> received;
-    net.add_node(1, [&](const Message& m, Context&) { received.push_back(m.type); });
+    net.add_node(1);
     net.post(0, 1, 42);
     EXPECT_TRUE(received.empty());  // not yet delivered
-    EXPECT_EQ(net.step(), 1u);
+    EXPECT_EQ(net.step([&](const Message& m) { received.push_back(m.type); }), 1u);
     EXPECT_EQ(received, std::vector<int>{42});
     EXPECT_EQ(net.rounds_executed(), 1u);
     EXPECT_EQ(net.messages_sent(), 1u);
@@ -24,23 +27,23 @@ TEST(Network, MessagesDeliveredNextRound) {
 TEST(Network, StepOnIdleChargesNoRound) {
     Network net;
     net.add_node(1);
-    EXPECT_EQ(net.step(), 0u);
+    EXPECT_EQ(net.step(sink), 0u);
     EXPECT_EQ(net.rounds_executed(), 0u);
 }
 
 TEST(Network, RepliesArriveOneRoundLater) {
     Network net;
     int pongs = 0;
-    net.add_node(1, [&](const Message& m, Context& ctx) {
-        if (m.type == 1) ctx.send(m.from, 2);  // ping -> pong
-    });
-    net.add_node(2, [&](const Message& m, Context&) {
-        if (m.type == 2) ++pongs;
-    });
+    net.add_node(1);
+    net.add_node(2);
+    auto deliver = [&](const Message& m) {
+        if (m.to == 1 && m.type == 1) net.post(m.to, m.from, 2);  // ping -> pong
+        if (m.to == 2 && m.type == 2) ++pongs;
+    };
     net.post(2, 1, 1);
-    net.step();  // ping delivered, pong enqueued
+    net.step(deliver);  // ping delivered, pong enqueued
     EXPECT_EQ(pongs, 0);
-    net.step();
+    net.step(deliver);
     EXPECT_EQ(pongs, 1);
     EXPECT_EQ(net.messages_sent(), 2u);
     EXPECT_EQ(net.rounds_executed(), 2u);
@@ -52,20 +55,18 @@ TEST(Network, MessagesToRemovedNodesDropSilently) {
     net.add_node(2);
     net.post(1, 2, 7);
     net.remove_node(2);
-    EXPECT_EQ(net.step(), 0u);  // dropped on delivery
+    EXPECT_EQ(net.step(sink), 0u);  // dropped on delivery
     EXPECT_EQ(net.messages_sent(), 1u);  // still counted as sent
 }
 
 TEST(Network, RunUntilQuiescent) {
     // A relay chain: node i forwards to i+1.
     Network net;
-    for (NodeId i = 0; i < 5; ++i) {
-        net.add_node(i, [](const Message& m, Context& ctx) {
-            if (ctx.self() < 4) ctx.send(ctx.self() + 1, m.type);
-        });
-    }
+    for (NodeId i = 0; i < 5; ++i) net.add_node(i);
     net.post(99, 0, 5);
-    std::size_t rounds = net.run();
+    std::size_t rounds = net.run([&](const Message& m) {
+        if (m.to < 4) net.post(m.to, m.to + 1, m.type);
+    });
     EXPECT_EQ(rounds, 5u);  // 0->1->2->3->4 then quiescent
     EXPECT_TRUE(net.idle());
     EXPECT_EQ(net.messages_sent(), 5u);
@@ -74,23 +75,13 @@ TEST(Network, RunUntilQuiescent) {
 TEST(Network, RunRespectsMaxRounds) {
     // Two nodes bouncing forever.
     Network net;
-    auto bounce = [](const Message& m, Context& ctx) { ctx.send(m.from, m.type); };
-    net.add_node(1, bounce);
-    net.add_node(2, bounce);
+    net.add_node(1);
+    net.add_node(2);
     net.post(1, 2, 0);
-    std::size_t rounds = net.run(10);
+    std::size_t rounds =
+        net.run([&](const Message& m) { net.post(m.to, m.from, m.type); }, 10);
     EXPECT_EQ(rounds, 10u);
     EXPECT_FALSE(net.idle());
-}
-
-TEST(Network, CountersResettable) {
-    Network net;
-    net.add_node(1);
-    net.post(0, 1, 1);
-    net.step();
-    net.reset_counters();
-    EXPECT_EQ(net.messages_sent(), 0u);
-    EXPECT_EQ(net.rounds_executed(), 0u);
 }
 
 TEST(Network, DuplicateNodeRejected) {
@@ -100,53 +91,76 @@ TEST(Network, DuplicateNodeRejected) {
     EXPECT_THROW(net.remove_node(5), ContractViolation);
 }
 
-TEST(Network, HandlerSwapTakesEffect) {
-    Network net;
-    int a = 0, b = 0;
-    net.add_node(1, [&](const Message&, Context&) { ++a; });
-    net.post(0, 1, 0);
-    net.step();
-    net.set_handler(1, [&](const Message&, Context&) { ++b; });
-    net.post(0, 1, 0);
-    net.step();
-    EXPECT_EQ(a, 1);
-    EXPECT_EQ(b, 1);
-}
-
-TEST(Network, PayloadRoundTrips) {
-    Network net;
-    std::vector<std::uint64_t> got;
-    net.add_node(1, [&](const Message& m, Context&) { got = m.payload; });
-    net.post(0, 1, 3, {10, 20, 30});
-    net.step();
-    EXPECT_EQ(got, (std::vector<std::uint64_t>{10, 20, 30}));
-}
-
 TEST(Network, BroadcastWaveCountsRoundsOnce) {
     // One sender fans out to 10 receivers: 10 messages, 1 round.
     Network net;
     for (NodeId i = 0; i < 11; ++i) net.add_node(i);
     for (NodeId i = 1; i < 11; ++i) net.post(0, i, 1);
-    net.step();
+    net.step(sink);
     EXPECT_EQ(net.messages_sent(), 10u);
     EXPECT_EQ(net.rounds_executed(), 1u);
+}
+
+TEST(Network, MembershipCannotChangeMidStep) {
+    Network net;
+    net.add_node(1);
+    net.post(0, 1, 1);
+    EXPECT_THROW(net.step([&](const Message&) { net.add_node(2); }), ContractViolation);
+    Network other;
+    other.add_node(1);
+    other.post(0, 1, 1);
+    EXPECT_THROW(other.step([&](const Message& m) { other.remove_node(m.to); }),
+                 ContractViolation);
+}
+
+TEST(Network, RemapSlidesLiveness) {
+    // Compaction map of live {1, 4, 6} (2, 3, 5 retired): 1->0, 4->1, 6->2.
+    Network net;
+    for (NodeId v : {1u, 2u, 3u, 4u, 5u, 6u}) net.add_node(v);
+    for (NodeId v : {2u, 3u, 5u}) net.remove_node(v);
+    const NodeId x = xheal::graph::invalid_node;
+    net.remap_nodes({x, 0, x, x, 1, x, 2});
+    for (NodeId v : {0u, 1u, 2u}) EXPECT_TRUE(net.has_node(v)) << v;
+    for (NodeId v : {3u, 4u, 5u, 6u}) EXPECT_FALSE(net.has_node(v)) << v;
+    // A message to a remapped id is delivered; one to a retired id (6 held
+    // a node before the slide, none after) is dropped and billed.
+    std::vector<NodeId> got;
+    net.post(0, 2, 1);
+    net.post(0, 6, 1);
+    EXPECT_EQ(net.step([&](const Message& m) { got.push_back(m.to); }), 1u);
+    EXPECT_EQ(got, std::vector<NodeId>{2});
+    EXPECT_EQ(net.messages_sent(), 2u);
+    // The map must cover every live node, never raise an id, and stay
+    // injective.
+    EXPECT_THROW(net.remap_nodes({0, x, 2}), ContractViolation);
+    EXPECT_THROW(net.remap_nodes({0, 0, 2}), ContractViolation);
+}
+
+TEST(Network, RemapRequiresQuiescentNetwork) {
+    Network net;
+    net.add_node(0);
+    net.post(0, 0, 1);
+    EXPECT_THROW(net.remap_nodes({0}), ContractViolation);
+    net.run(sink);
+    net.remap_nodes({0});
+    EXPECT_TRUE(net.has_node(0));
 }
 
 // ---- round-numbering convention (pinned; see network.hpp header) ----
 
 TEST(Network, RoundConventionDeliveryRoundIsOneBased) {
     // A pre-step post is a round-0 send: delivered in round 1, and
-    // Context::round() inside the handler reports exactly that. A reply
-    // sent from round r arrives in round r + 1.
+    // rounds_executed() inside deliver reports exactly that. A reply sent
+    // from round r arrives in round r + 1.
     Network net;
-    std::vector<std::size_t> delivery_rounds;
-    net.add_node(1, [&](const Message& m, Context& ctx) {
-        delivery_rounds.push_back(ctx.round());
-        if (m.type == 1) ctx.send(1, 2);  // self-reply, next round
-    });
+    std::vector<std::uint64_t> delivery_rounds;
+    net.add_node(1);
     net.post(0, 1, 1);
-    net.run();
-    EXPECT_EQ(delivery_rounds, (std::vector<std::size_t>{1, 2}));
+    net.run([&](const Message& m) {
+        delivery_rounds.push_back(net.rounds_executed());
+        if (m.type == 1) net.post(1, 1, 2);  // self-reply, next round
+    });
+    EXPECT_EQ(delivery_rounds, (std::vector<std::uint64_t>{1, 2}));
     EXPECT_EQ(net.rounds_executed(), 2u);
 }
 
@@ -155,14 +169,15 @@ TEST(Network, RoundConventionLatencyDelaysDelivery) {
     // gap steps deliver nothing but are charged as rounds (the network is
     // not idle, time passes).
     Network net;
-    std::size_t delivered_in = 0;
-    net.add_node(1, [&](const Message&, Context& ctx) { delivered_in = ctx.round(); });
+    std::uint64_t delivered_in = 0;
+    auto deliver = [&](const Message&) { delivered_in = net.rounds_executed(); };
+    net.add_node(1);
     net.set_fault_model({0.0, 2});
     net.post(0, 1, 7);
-    EXPECT_EQ(net.step(), 0u);  // gap round 1
-    EXPECT_EQ(net.step(), 0u);  // gap round 2
+    EXPECT_EQ(net.step(deliver), 0u);  // gap round 1
+    EXPECT_EQ(net.step(deliver), 0u);  // gap round 2
     EXPECT_FALSE(net.idle());
-    EXPECT_EQ(net.step(), 1u);  // delivery round 3
+    EXPECT_EQ(net.step(deliver), 1u);  // delivery round 3
     EXPECT_EQ(delivered_in, 3u);
     EXPECT_EQ(net.rounds_executed(), 3u);
     EXPECT_TRUE(net.idle());
@@ -173,12 +188,12 @@ TEST(Network, InFlightMessagesKeepTheirStampedDelay) {
     // flight; new sends use the new model.
     Network net;
     std::vector<int> order;
-    net.add_node(1, [&](const Message& m, Context&) { order.push_back(m.type); });
+    net.add_node(1);
     net.set_fault_model({0.0, 3});
     net.post(0, 1, 100);            // due in round 4
     net.set_fault_model({0.0, 0});
     net.post(0, 1, 200);            // due in round 1
-    net.run();
+    net.run([&](const Message& m) { order.push_back(m.type); });
     EXPECT_EQ(order, (std::vector<int>{200, 100}));
     EXPECT_EQ(net.rounds_executed(), 4u);
 }
@@ -189,11 +204,11 @@ TEST(Network, DropStreamIsDeterministicPerSeed) {
     auto run_once = [](std::uint64_t seed) {
         Network net;
         std::vector<int> got;
-        net.add_node(1, [&](const Message& m, Context&) { got.push_back(m.type); });
+        net.add_node(1);
         net.seed_drop_stream(seed);
         net.set_fault_model({0.5, 0});
         for (int i = 0; i < 64; ++i) net.post(0, 1, i);
-        net.run();
+        net.run([&](const Message& m) { got.push_back(m.type); });
         return std::pair{got, net.messages_dropped()};
     };
     auto [a, dropped_a] = run_once(42);
@@ -215,74 +230,7 @@ TEST(Network, DroppedMessagesStillBilledAsSent) {
     EXPECT_TRUE(net.idle());        // nothing actually in flight
     EXPECT_EQ(net.messages_sent(), 2u);
     EXPECT_EQ(net.messages_dropped(), 2u);
-    EXPECT_EQ(net.run(), 0u);
-}
-
-TEST(Network, ControlPostsBypassFaults) {
-    // post_control models the failure-detector channel: immune to drop and
-    // latency, delivered next step, still billed as sent.
-    Network net;
-    std::vector<std::size_t> delivered_in;
-    net.add_node(1, [&](const Message&, Context& ctx) {
-        delivered_in.push_back(ctx.round());
-    });
-    net.set_fault_model({1.0, 5});
-    net.post_control(Message{0, 1, 9, {}});
-    EXPECT_EQ(net.step(), 1u);
-    EXPECT_EQ(delivered_in, (std::vector<std::size_t>{1}));
-    EXPECT_EQ(net.messages_sent(), 1u);
-    EXPECT_EQ(net.messages_dropped(), 0u);
-}
-
-// ---- mid-step mutation safety (regression: self-destructing handler) ----
-
-TEST(Network, HandlerCanRebindItselfFromWithinHandler) {
-    // A handler replacing itself used to destroy the live std::function
-    // mid-call (UB). The swap now defers to round end: every message of the
-    // current round runs under the original handler, the new one takes over
-    // next round.
-    Network net;
-    int original = 0, replacement = 0;
-    net.add_node(1, [&](const Message&, Context&) {
-        ++original;
-        net.set_handler(1, [&](const Message&, Context&) { ++replacement; });
-    });
-    net.post(0, 1, 1);
-    net.post(0, 1, 2);  // same round as the first
-    net.step();
-    EXPECT_EQ(original, 2);     // both same-round messages: old handler
-    EXPECT_EQ(replacement, 0);
-    net.post(0, 1, 3);
-    net.step();
-    EXPECT_EQ(original, 2);
-    EXPECT_EQ(replacement, 1);  // swap landed at round boundary
-}
-
-TEST(Network, RemoveNodeFromWithinHandlerDefersToRoundEnd) {
-    Network net;
-    int delivered = 0;
-    net.add_node(1, [&](const Message&, Context&) {
-        ++delivered;
-        net.remove_node(1);
-    });
-    net.post(0, 1, 1);
-    net.post(0, 1, 2);
-    net.step();  // both delivered this round, removal applies after
-    EXPECT_EQ(delivered, 2);
-    EXPECT_FALSE(net.has_node(1));
-}
-
-TEST(Network, ResetCountersRequiresIdleNetwork) {
-    // Resetting with messages in flight would bill cross-epoch: sent in the
-    // old epoch, rounds charged in the new (regression: epoch leak).
-    Network net;
-    net.add_node(1);
-    net.post(0, 1, 1);
-    EXPECT_THROW(net.reset_counters(), ContractViolation);
-    net.run();
-    net.reset_counters();  // idle: fine
-    EXPECT_EQ(net.messages_sent(), 0u);
-    EXPECT_EQ(net.rounds_executed(), 0u);
+    EXPECT_EQ(net.run(sink), 0u);
 }
 
 }  // namespace
