@@ -81,7 +81,7 @@ NodeId BridgeHunterDeletion::pick(const HealingSession& session, util::Rng& rng)
     std::vector<graph::ColorId> prim;  // reused across the scan: one buffer per pick
     for (NodeId v : g.nodes()) {
         if (registry_->is_free(v)) continue;
-        registry_->primary_clouds_of(v, prim);
+        registry_->primary_clouds_of(g, v, prim);
         std::size_t score = 1 + prim.size();
         if (best == graph::invalid_node || score > best_score) {
             best = v;

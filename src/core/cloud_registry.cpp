@@ -45,7 +45,9 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
         cloud = pool_[slot].get();
         index_.push_back({color, slot});
     }
-    for (NodeId v : cloud->topology.members()) register_membership(v, color, kind);
+    if (kind == CloudKind::secondary) {
+        for (NodeId v : cloud->topology.members()) set_secondary(v, color);
+    }
     // A fresh color holds no claims yet: claim the whole projection.
     cloud->topology.collect_edges(desired_);
     for (const auto& [a, b] : desired_) g.add_color_claim(a, b, color);
@@ -76,13 +78,14 @@ void CloudRegistry::destroy_cloud(Graph& g, ColorId color, std::size_t* claims_r
     for (const auto& [u, v] : desired_) {
         if (g.remove_color_claim(u, v, color) && claims_removed != nullptr) ++*claims_removed;
     }
-    for (NodeId v : cloud->topology.members()) unregister_membership(v, color);
+    if (cloud->kind == CloudKind::secondary) {
+        for (NodeId v : cloud->topology.members()) secondary_of_[v] = graph::invalid_color;
+    }
     release_cloud(color);
 }
 
 NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng& rng,
-                                    bool deleted_from_graph, std::size_t* claims_added,
-                                    std::size_t* claims_removed) {
+                                    std::size_t* claims_added, std::size_t* claims_removed) {
     Cloud* cloud = find(color);
     XHEAL_EXPECTS(cloud != nullptr);
     XHEAL_EXPECTS(cloud->has_member(v));
@@ -91,7 +94,7 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
     // its edges took the claims with them. Otherwise they are listed from
     // v's row (ascending) into scratch first, since releasing a claim can
     // erase its edge from that row.
-    if (!deleted_from_graph) {
+    if (g.has_node(v)) {
         claimed_.clear();
         for (const auto& [u, claims] : g.row(v)) {
             if (claims.has_color(color))
@@ -100,8 +103,8 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
         for (const auto& [a, b] : claimed_) g.remove_color_claim(a, b, color);
         if (claims_removed != nullptr) *claims_removed += claimed_.size();
     }
-    unregister_membership(v, color);
-    if (deleted_from_graph) retire_membership_row(v);
+    bool secondary = cloud->kind == CloudKind::secondary;
+    if (secondary) secondary_of_[v] = graph::invalid_color;
     cloud->erase_bridge_assoc(v);
 
     if (cloud->size() <= 2) {
@@ -110,7 +113,8 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
         for (NodeId m : cloud->topology.members()) {
             if (m != v) survivor = m;
         }
-        if (survivor != graph::invalid_node) unregister_membership(survivor, color);
+        if (secondary && survivor != graph::invalid_node)
+            secondary_of_[survivor] = graph::invalid_color;
         release_cloud(color);
         return survivor;
     }
@@ -140,7 +144,7 @@ void CloudRegistry::insert_member(Graph& g, ColorId color, NodeId v, util::Rng& 
     XHEAL_EXPECTS(!cloud->has_member(v));
     delta_.clear();
     cloud->topology.insert(v, rng, &delta_);
-    register_membership(v, color, cloud->kind);
+    if (cloud->kind == CloudKind::secondary) set_secondary(v, color);
     if (delta_.full_resync) {
         sync_claims(g, *cloud, claims_added, claims_removed);
     } else {
@@ -160,18 +164,23 @@ const Cloud* CloudRegistry::find(ColorId color) const {
                                                            : nullptr;
 }
 
-void CloudRegistry::primary_clouds_of(NodeId v, std::vector<ColorId>& out) const {
+void CloudRegistry::primary_clouds_of(const Graph& g, NodeId v,
+                                      std::vector<ColorId>& out) const {
     out.clear();
-    if (v >= memberships_.size()) return;
-    // Every membership but the (at most one) secondary is a primary.
-    for (ColorId c : memberships_[v]) {
-        if (c != secondary_of_[v]) out.push_back(c);
-    }  // memberships_[v] is sorted, so out is ascending
+    if (!g.has_node(v)) return;
+    // A clique claims every member pair and an H-graph (> kappa+1 members)
+    // gives each member a cycle neighbor, so v's row names every cloud it
+    // belongs to. All of them but the (at most one) secondary are primary.
+    for (const graph::NeighborEntry& e : g.row(v))
+        out.insert(out.end(), e.second.colors.begin(), e.second.colors.end());
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    if (std::optional<ColorId> sec = secondary_cloud_of(v)) util::sorted_erase(out, *sec);
 }
 
-std::vector<ColorId> CloudRegistry::primary_clouds_of(NodeId v) const {
+std::vector<ColorId> CloudRegistry::primary_clouds_of(const Graph& g, NodeId v) const {
     std::vector<ColorId> out;
-    primary_clouds_of(v, out);
+    primary_clouds_of(g, v, out);
     return out;
 }
 
@@ -201,10 +210,6 @@ std::vector<ColorId> CloudRegistry::colors() const {
     out.reserve(index_.size());
     for (const auto& [c, _] : index_) out.push_back(c);  // index_ is sorted
     return out;
-}
-
-bool CloudRegistry::in_any_cloud(NodeId v) const {
-    return v < memberships_.size() && !memberships_[v].empty();
 }
 
 void CloudRegistry::sync_claims(Graph& g, Cloud& cloud, std::size_t* added,
@@ -274,90 +279,38 @@ void CloudRegistry::fix_leadership(Cloud& cloud, util::Rng& rng) {
     }
 }
 
-void CloudRegistry::register_membership(NodeId v, ColorId color, CloudKind kind) {
-    // The two per-node tables grow together, so the secondary slots cost no
-    // allocation beyond the membership table's own growth.
-    if (memberships_.size() <= v) {
-        memberships_.resize(v + 1);
-        secondary_of_.resize(v + 1, graph::invalid_color);
-    }
-    std::vector<ColorId>& row = memberships_[v];
-    if (row.capacity() == 0 && !membership_pool_.empty()) {
-        row = std::move(membership_pool_.back());
-        membership_pool_.pop_back();
-        row.clear();
-    }
-    util::sorted_insert(row, color);
-    if (kind == CloudKind::secondary) {
-        XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
-        secondary_of_[v] = color;
-    }
-}
-
-void CloudRegistry::unregister_membership(NodeId v, ColorId color) {
-    if (v >= memberships_.size()) return;
-    util::sorted_erase(memberships_[v], color);
-    if (secondary_of_[v] == color) secondary_of_[v] = graph::invalid_color;
-}
-
-void CloudRegistry::retire_membership_row(NodeId v) {
-    if (v >= memberships_.size()) return;
-    std::vector<ColorId>& row = memberships_[v];
-    if (row.empty() && row.capacity() != 0 &&
-        membership_pool_.size() < membership_pool_cap) {
-        // One-time full reserve: the pool's own growth must not allocate
-        // mid-run either (the steady-state soaks pin repair at zero).
-        if (membership_pool_.capacity() == 0)
-            membership_pool_.reserve(membership_pool_cap);
-        membership_pool_.push_back(std::move(row));
-    }
+void CloudRegistry::set_secondary(NodeId v, ColorId color) {
+    if (secondary_of_.size() <= v) secondary_of_.resize(v + 1, graph::invalid_color);
+    XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
+    secondary_of_[v] = color;
 }
 
 void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
                               std::size_t live_count) {
     // Live clouds carry renumbered-graph ids everywhere: topology, bridge
-    // associations, leadership (the graph renumbers its own claims). Pooled
-    // clouds are skipped — create_cloud fully re-initializes them on revival.
+    // associations, leadership (the graph renumbers its own claims, and with
+    // them every node's primary clouds). Pooled clouds are skipped —
+    // create_cloud fully re-initializes them on revival.
     for (const auto& [color, slot] : index_) pool_[slot]->remap_ids(old_to_new);
 
-    // Slide membership rows down to their new ids. The map is ascending
-    // (new <= old), so a forward pass never overwrites a row that hasn't
-    // moved yet. Dead ids must carry no memberships (their rows were emptied
-    // when they left their last cloud); their storage is retired into the
-    // pool just like retire_membership_row does, so the next epoch's fresh
-    // ids register without allocating. secondary_of_ slides with the rows.
-    std::size_t upper = std::min(memberships_.size(), old_to_new.size());
+    // Slide the secondary table down to the new ids. The map is ascending
+    // (new <= old), so a forward pass never overwrites an entry that hasn't
+    // moved yet. Dead ids must be free: they left their secondary on
+    // deletion.
+    std::size_t upper = std::min(secondary_of_.size(), old_to_new.size());
     for (NodeId v = 0; v < upper; ++v) {
-        std::vector<ColorId>& row = memberships_[v];
         NodeId to = old_to_new[v];
         if (to == graph::invalid_node) {
-            XHEAL_ASSERT(row.empty());
             XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
-            if (row.capacity() != 0 && membership_pool_.size() < membership_pool_cap) {
-                if (membership_pool_.capacity() == 0)
-                    membership_pool_.reserve(membership_pool_cap);
-                membership_pool_.push_back(std::move(row));
-            }
-            std::vector<ColorId>().swap(row);
-            continue;
-        }
-        if (to != v) {
-            row.swap(memberships_[to]);
+        } else if (to != v) {
             secondary_of_[to] = secondary_of_[v];
             secondary_of_[v] = graph::invalid_color;
         }
     }
-    // Rows past the map (ids that never joined a cloud) don't exist, and the
-    // tail beyond the live range holds only moved-from/empty rows.
-    for (NodeId v = static_cast<NodeId>(std::min<std::size_t>(live_count, upper));
-         v < upper; ++v) {
-        XHEAL_ASSERT(memberships_[v].empty());
+    // Past the live range only vacated entries remain.
+    for (std::size_t v = std::min(live_count, upper); v < upper; ++v)
         XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
-    }
-    if (memberships_.size() > live_count) {
-        memberships_.resize(live_count);
-        secondary_of_.resize(live_count);
-    }
+    if (secondary_of_.size() > live_count) secondary_of_.resize(live_count);
 }
 
 void CloudRegistry::verify(const Graph& g) const {
@@ -369,9 +322,10 @@ void CloudRegistry::verify(const Graph& g) const {
         const std::vector<NodeId>& members = cloud->topology.members();
         for (NodeId v : members) {
             XHEAL_ASSERT(g.has_node(v));
-            XHEAL_ASSERT(v < memberships_.size());
-            XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
-                                            memberships_[v].end(), color));
+            // The secondary table names this cloud for each of its members,
+            // which also holds every node to at most one secondary.
+            if (cloud->kind == CloudKind::secondary)
+                XHEAL_ASSERT(secondary_cloud_of(v) == color);
         }
         // Every pair of the topology's projection is claimed in g (the
         // converse is the graph sweep below).
@@ -400,24 +354,13 @@ void CloudRegistry::verify(const Graph& g) const {
             }
         }
     }
-    // Membership map has no dangling colors, the "at most one secondary
-    // cloud per node" invariant holds, and secondary_of_ names exactly that
-    // secondary (invalid_color for a free node).
-    XHEAL_ASSERT(secondary_of_.size() == memberships_.size());
-    for (NodeId v = 0; v < memberships_.size(); ++v) {
-        std::size_t secondary_count = 0;
-        ColorId secondary = graph::invalid_color;
-        for (ColorId c : memberships_[v]) {
-            const Cloud* cloud = find(c);
-            XHEAL_ASSERT(cloud != nullptr);
-            XHEAL_ASSERT(cloud->has_member(v));
-            if (cloud->kind == CloudKind::secondary) {
-                ++secondary_count;
-                secondary = c;
-            }
-        }
-        XHEAL_ASSERT(secondary_count <= 1);
-        XHEAL_ASSERT(secondary_of_[v] == secondary);
+    // Every set secondary slot names a live secondary containing its node.
+    for (NodeId v = 0; v < secondary_of_.size(); ++v) {
+        if (secondary_of_[v] == graph::invalid_color) continue;
+        const Cloud* cloud = find(secondary_of_[v]);
+        XHEAL_ASSERT(cloud != nullptr);
+        XHEAL_ASSERT(cloud->kind == CloudKind::secondary);
+        XHEAL_ASSERT(cloud->has_member(v));
     }
     // Every color claim in the graph is a pair of a live cloud's topology.
     g.for_each_edge([&](NodeId u, NodeId v, const graph::EdgeClaims& claims) {

@@ -1,10 +1,11 @@
 // Mechanical layer of Xheal's cloud management.
 //
-// CloudRegistry owns all clouds, tracks node -> cloud memberships and keeps
-// each cloud's color claims in the network graph synchronized with its
-// topology (creating, rebuilding, growing and shrinking clouds). The claims
-// live only in the graph's per-edge EdgeClaims; the registry reads them
-// there and reads the pairs a cloud must claim from its topology. Policy —
+// CloudRegistry owns all clouds and keeps each cloud's color claims in the
+// network graph synchronized with its topology (creating, rebuilding,
+// growing and shrinking clouds). The claims live only in the graph's
+// per-edge EdgeClaims, and they are also the node -> cloud record: a node's
+// clouds are the colors on its own graph row. The registry's one per-node
+// table names each node's secondary cloud. Policy —
 // which clouds to form, free-node selection, sharing, combining — lives in
 // XhealHealer; the registry only provides safe primitives and maintains the
 // structural invariants:
@@ -42,7 +43,7 @@ public:
     // ----- cloud lifecycle -----
 
     /// Create a cloud over `members` (>= 2 distinct, all present in g),
-    /// claim its edges in g and register memberships. Returns its color.
+    /// claim its edges in g. Returns its color.
     graph::ColorId create_cloud(graph::Graph& g, CloudKind kind,
                                 const std::vector<graph::NodeId>& members,
                                 util::Rng& rng, std::size_t* claims_added = nullptr);
@@ -51,14 +52,13 @@ public:
     void destroy_cloud(graph::Graph& g, graph::ColorId color,
                        std::size_t* claims_removed = nullptr);
 
-    /// Remove member v from the cloud. If `deleted_from_graph`, v's incident
-    /// edges are already gone from g and only bookkeeping is purged.
+    /// Remove member v from the cloud. If v is no longer in g, its incident
+    /// edges took its claims with them and only bookkeeping is purged.
     /// Dissolves the cloud if fewer than 2 members remain and returns the
     /// surviving member (invalid_node otherwise). Applies the half-loss
     /// rebuild rule and repairs the leader/vice-leader invariant.
     graph::NodeId remove_member(graph::Graph& g, graph::ColorId color, graph::NodeId v,
-                                util::Rng& rng, bool deleted_from_graph,
-                                std::size_t* claims_added = nullptr,
+                                util::Rng& rng, std::size_t* claims_added = nullptr,
                                 std::size_t* claims_removed = nullptr);
 
     /// Add member v (present in g) to the cloud, claim the new edges.
@@ -72,12 +72,16 @@ public:
     const Cloud* find(graph::ColorId color) const;
     bool exists(graph::ColorId color) const { return find(color) != nullptr; }
 
-    /// Colors of the primary clouds containing v, ascending. Empty if none.
-    std::vector<graph::ColorId> primary_clouds_of(graph::NodeId v) const;
+    /// Colors of the primary clouds containing v, ascending, read from v's
+    /// row in g: every member of a cloud holds at least one claim of its
+    /// color. Empty if none or if v is not in g.
+    std::vector<graph::ColorId> primary_clouds_of(const graph::Graph& g,
+                                                  graph::NodeId v) const;
 
     /// Allocation-free variant: fills `out` (cleared first) with the primary
     /// colors of v. The healer's hot path feeds its scratch buffer here.
-    void primary_clouds_of(graph::NodeId v, std::vector<graph::ColorId>& out) const;
+    void primary_clouds_of(const graph::Graph& g, graph::NodeId v,
+                           std::vector<graph::ColorId>& out) const;
 
     /// The (unique) secondary cloud containing v, if any. One table read.
     std::optional<graph::ColorId> secondary_cloud_of(graph::NodeId v) const;
@@ -97,20 +101,15 @@ public:
 
     std::size_t cloud_count() const { return index_.size(); }
 
-    /// True if v belongs to at least one cloud.
-    bool in_any_cloud(graph::NodeId v) const;
-
     /// Verify every structural invariant against the graph; throws on
     /// violation. O(total cloud size); used by tests and failure injection.
     void verify(const graph::Graph& g) const;
 
     /// Id-compaction support (DESIGN.md decision 12): rewrite every live
-    /// cloud and the membership table through the ascending old->new map
-    /// (`live_count` = number of valid targets). Dead nodes must carry no
-    /// memberships; their rows' storage is retired into the pool exactly as
-    /// retire_membership_row would. Pooled (destroyed) clouds hold stale ids
-    /// but are fully re-initialized on revival, so only live clouds are
-    /// touched. No rng draws.
+    /// cloud and the secondary table through the ascending old->new map
+    /// (`live_count` = number of valid targets). Dead nodes must be free.
+    /// Pooled (destroyed) clouds hold stale ids but are fully re-initialized
+    /// on revival, so only live clouds are touched. No rng draws.
     void remap_ids(const std::vector<graph::NodeId>& old_to_new,
                    std::size_t live_count);
 
@@ -131,11 +130,8 @@ private:
     /// Re-establish leader and vice-leader after membership changed.
     void fix_leadership(Cloud& cloud, util::Rng& rng);
 
-    void register_membership(graph::NodeId v, graph::ColorId color, CloudKind kind);
-    void unregister_membership(graph::NodeId v, graph::ColorId color);
-    /// v was deleted from the graph and left its last cloud: recycle its
-    /// membership row's storage for a future fresh id.
-    void retire_membership_row(graph::NodeId v);
+    /// Name `color` as v's secondary cloud, growing the table on demand.
+    void set_secondary(graph::NodeId v, graph::ColorId color);
 
     /// Unlink `color` from the directory and return its pool slot to the
     /// free list; the Cloud object (and its buffer capacities) is retained
@@ -158,20 +154,11 @@ private:
     std::vector<std::unique_ptr<Cloud>> pool_;
     std::vector<std::uint32_t> free_slots_;
     std::vector<std::pair<graph::ColorId, std::uint32_t>> index_;
-    /// memberships_[v] = sorted colors of the clouds containing v. Indexed
-    /// directly by node id (ids are dense and never reused); inner vectors
-    /// keep their capacity across churn, so re-registering never allocates.
-    /// Rows of graph-deleted nodes are retired into membership_pool_ and
-    /// re-issued to fresh ids (capped), so a churning population's first
-    /// cloud registrations don't allocate either.
-    static constexpr std::size_t membership_pool_cap = 256;
-    std::vector<std::vector<graph::ColorId>> memberships_;
     /// secondary_of_[v] = the one secondary cloud containing v, or
-    /// invalid_color when v is free. Same size as memberships_ (both grow in
-    /// register_membership and slide together in remap_ids), so the free /
-    /// secondary test is one array read.
+    /// invalid_color when v is free (ids past the end are free too). Indexed
+    /// directly by node id; only secondary clouds set or clear it and
+    /// remap_ids slides it, so the free / secondary test is one array read.
     std::vector<graph::ColorId> secondary_of_;
-    std::vector<std::vector<graph::ColorId>> membership_pool_;
     // Repair-path scratch, reused across every mutation (zero steady-state
     // allocations; see DESIGN.md decision 6).
     expander::TopoDelta delta_;

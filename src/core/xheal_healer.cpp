@@ -64,7 +64,8 @@ void XhealHealer::repair(Graph& g, NodeId v, RepairReport& report,
     XHEAL_EXPECTS(g.has_node(v));
 
     // ---- snapshot v's situation before anything is torn down ----
-    registry_.primary_clouds_of(v, prim_);
+    // (primary_clouds_of reads v's graph row: it must run before removal)
+    registry_.primary_clouds_of(g, v, prim_);
     std::optional<ColorId> sec = registry_.secondary_cloud_of(v);
     ColorId assoc_of_v = graph::invalid_color;
     if (sec.has_value()) assoc_of_v = registry_.find(*sec)->bridge_assoc_of(v);
@@ -454,8 +455,9 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
         for (std::size_t i = lo; i < hi; ++i) {
             NodeId m = comb_groups_[i].second;
             ColorId assoc = f->bridge_assoc_of(m);
-            bool assoc_alive = assoc != graph::invalid_color && registry_.exists(assoc) &&
-                               !util::sorted_contains(comb_destroyed_, assoc);
+            bool assoc_alive = assoc != graph::invalid_color &&
+                               !util::sorted_contains(comb_destroyed_, assoc) &&
+                               registry_.exists(assoc);
             if (!assoc_alive) stale_.push_back(m);
         }
         if (stale_.empty()) continue;
@@ -463,8 +465,7 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
         f->set_bridge_assoc(stale_.front(), combined);
         for (std::size_t i = 1; i < stale_.size(); ++i) {
             if (f->size() <= 2) break;  // keep f alive; its members stay bridges
-            registry_.remove_member(g, f_color, stale_[i], rng_,
-                                    /*deleted_from_graph=*/false, &report.edges_added,
+            registry_.remove_member(g, f_color, stale_[i], rng_, &report.edges_added,
                                     &report.edges_removed);
             ++report.clouds_touched;
         }
@@ -478,8 +479,8 @@ NodeId XhealHealer::remove_member_logged(Graph& g, ColorId c, NodeId v,
     XHEAL_ASSERT(cloud != nullptr);
     bool leader_deleted = cloud->leader == v;
     std::size_t rebuilds_before = cloud->rebuild_count;
-    NodeId survivor = registry_.remove_member(g, c, v, rng_, /*deleted_from_graph=*/true,
-                                              &report.edges_added, &report.edges_removed);
+    NodeId survivor = registry_.remove_member(g, c, v, rng_, &report.edges_added,
+                                              &report.edges_removed);
     ++report.clouds_touched;
     if (!registry_.exists(c)) {
         HealEvent& ev = push_event(HealEvent::Kind::dissolve_cloud, c);

@@ -1,5 +1,5 @@
 // Sorted-vector-as-set primitives shared by the repair path's flat
-// sets (cloud memberships, unit dedupe). One audited
+// sets (free and taken nodes, unit dedupe). One audited
 // implementation of the lower_bound + compare + insert/erase pattern; all
 // operations reuse the vector's capacity, which is what makes steady-state
 // repair allocation-free (DESIGN.md decision 6).

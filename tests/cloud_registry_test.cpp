@@ -65,7 +65,7 @@ TEST_F(RegistryTest, DestroyCloudRevertsSharedEdgesToBlack) {
     EXPECT_TRUE(g.has_edge(0, 1));  // black claim survives
     EXPECT_FALSE(g.has_edge(1, 2));
     EXPECT_FALSE(reg.exists(c));
-    EXPECT_FALSE(reg.in_any_cloud(0));
+    EXPECT_TRUE(reg.primary_clouds_of(g, 0).empty() && reg.is_free(0));
     reg.verify(g);
 }
 
@@ -73,8 +73,8 @@ TEST_F(RegistryTest, MembershipQueries) {
     add_nodes(6);
     ColorId p1 = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);
     ColorId p2 = reg.create_cloud(g, CloudKind::primary, {2, 3, 4}, rng);
-    EXPECT_EQ(reg.primary_clouds_of(2), (std::vector<ColorId>{p1, p2}));
-    EXPECT_EQ(reg.primary_clouds_of(5), std::vector<ColorId>{});
+    EXPECT_EQ(reg.primary_clouds_of(g, 2), (std::vector<ColorId>{p1, p2}));
+    EXPECT_EQ(reg.primary_clouds_of(g, 5), std::vector<ColorId>{});
     EXPECT_TRUE(reg.is_free(0));
 
     ColorId s = reg.create_cloud(g, CloudKind::secondary, {0, 3}, rng);
@@ -96,7 +96,7 @@ TEST_F(RegistryTest, RemoveMemberKeepsCloudConsistent) {
     add_nodes(8);
     ColorId c = reg.create_cloud(g, CloudKind::primary, ids(8), rng);
     // Node 3 leaves (healer-driven, still in graph).
-    NodeId survivor = reg.remove_member(g, c, 3, rng, /*deleted_from_graph=*/false);
+    NodeId survivor = reg.remove_member(g, c, 3, rng);
     EXPECT_EQ(survivor, xheal::graph::invalid_node);
     EXPECT_FALSE(reg.find(c)->has_member(3));
     EXPECT_EQ(reg.find(c)->size(), 7u);
@@ -109,7 +109,7 @@ TEST_F(RegistryTest, RemoveMemberAfterGraphDeletion) {
     add_nodes(6);
     ColorId c = reg.create_cloud(g, CloudKind::primary, ids(6), rng);
     g.remove_node(2);
-    NodeId survivor = reg.remove_member(g, c, 2, rng, /*deleted_from_graph=*/true);
+    NodeId survivor = reg.remove_member(g, c, 2, rng);
     EXPECT_EQ(survivor, xheal::graph::invalid_node);
     EXPECT_EQ(reg.find(c)->size(), 5u);
     reg.verify(g);
@@ -118,10 +118,10 @@ TEST_F(RegistryTest, RemoveMemberAfterGraphDeletion) {
 TEST_F(RegistryTest, DissolutionReturnsSurvivor) {
     add_nodes(2);
     ColorId c = reg.create_cloud(g, CloudKind::primary, {0, 1}, rng);
-    NodeId survivor = reg.remove_member(g, c, 0, rng, /*deleted_from_graph=*/false);
+    NodeId survivor = reg.remove_member(g, c, 0, rng);
     EXPECT_EQ(survivor, 1u);
     EXPECT_FALSE(reg.exists(c));
-    EXPECT_FALSE(reg.in_any_cloud(1));
+    EXPECT_TRUE(reg.primary_clouds_of(g, 1).empty() && reg.is_free(1));
     EXPECT_FALSE(g.has_edge(0, 1));
     reg.verify(g);
 }
@@ -129,7 +129,7 @@ TEST_F(RegistryTest, DissolutionReturnsSurvivor) {
 TEST_F(RegistryTest, ThreeMemberCloudSurvivesOneLoss) {
     add_nodes(3);
     ColorId c = reg.create_cloud(g, CloudKind::primary, ids(3), rng);
-    NodeId survivor = reg.remove_member(g, c, 1, rng, false);
+    NodeId survivor = reg.remove_member(g, c, 1, rng);
     EXPECT_EQ(survivor, xheal::graph::invalid_node);
     EXPECT_TRUE(reg.exists(c));
     EXPECT_TRUE(g.has_color_claim(0, 2, c));
@@ -141,7 +141,7 @@ TEST_F(RegistryTest, InsertMemberGrowsCloud) {
     ColorId c = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);
     reg.insert_member(g, c, 4, rng);
     EXPECT_TRUE(reg.find(c)->has_member(4));
-    EXPECT_EQ(reg.primary_clouds_of(4), std::vector<ColorId>{c});
+    EXPECT_EQ(reg.primary_clouds_of(g, 4), std::vector<ColorId>{c});
     EXPECT_GE(g.degree(4), 1u);
     reg.verify(g);
 }
@@ -151,7 +151,7 @@ TEST_F(RegistryTest, HalfLossTriggersRebuild) {
     ColorId c = reg.create_cloud(g, CloudKind::primary, ids(20), rng);
     std::size_t before = reg.find(c)->rebuild_count;
     for (NodeId v = 0; v < 11; ++v) {
-        reg.remove_member(g, c, v, rng, false);
+        reg.remove_member(g, c, v, rng);
     }
     EXPECT_GT(reg.find(c)->rebuild_count, before);
     reg.verify(g);
@@ -161,7 +161,7 @@ TEST_F(RegistryTest, LeadershipMaintainedAcrossRemovals) {
     add_nodes(10);
     ColorId c = reg.create_cloud(g, CloudKind::primary, ids(10), rng);
     for (NodeId v = 0; v < 8; ++v) {
-        reg.remove_member(g, c, v, rng, false);
+        reg.remove_member(g, c, v, rng);
         const Cloud* cloud = reg.find(c);
         ASSERT_NE(cloud, nullptr);
         EXPECT_TRUE(cloud->has_member(cloud->leader));
@@ -220,28 +220,34 @@ TEST_F(RegistryTest, BridgeAssocPurgedOnRemoval) {
     ColorId p = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);
     ColorId s = reg.create_cloud(g, CloudKind::secondary, {0, 3, 4}, rng);
     reg.find(s)->set_bridge_assoc(0, p);
-    reg.remove_member(g, s, 0, rng, false);
+    reg.remove_member(g, s, 0, rng);
     EXPECT_FALSE(reg.find(s)->has_bridge_assoc(0));
     EXPECT_TRUE(reg.is_free(0));
     reg.verify(g);
 }
 
 TEST_F(RegistryTest, SecondaryTableTracksMembershipThroughLifecycle) {
-    // secondary_cloud_of reads one per-node slot; after every mutation it
-    // must agree with a brute-force scan of the live clouds' memberships.
+    // secondary_cloud_of reads one per-node slot and primary_clouds_of reads
+    // the node's graph row; after every mutation both must agree with a
+    // brute-force scan of the live clouds' members.
     auto expect_table_matches = [&](const char* step) {
         SCOPED_TRACE(step);
         for (NodeId v = 0; v < g.next_id(); ++v) {
             std::optional<ColorId> brute;
+            std::vector<ColorId> brute_primaries;  // colors() ascends
             for (ColorId c : reg.colors()) {
                 const Cloud* cloud = reg.find(c);
-                if (cloud->kind == CloudKind::secondary && cloud->has_member(v)) {
+                if (!cloud->has_member(v)) continue;
+                if (cloud->kind == CloudKind::primary) {
+                    brute_primaries.push_back(c);
+                } else {
                     ASSERT_FALSE(brute.has_value()) << "node " << v << " in two secondaries";
                     brute = c;
                 }
             }
             EXPECT_EQ(reg.secondary_cloud_of(v), brute) << "node " << v;
             EXPECT_EQ(reg.is_free(v), !brute.has_value()) << "node " << v;
+            EXPECT_EQ(reg.primary_clouds_of(g, v), brute_primaries) << "node " << v;
         }
         reg.verify(g);
     };
@@ -252,7 +258,7 @@ TEST_F(RegistryTest, SecondaryTableTracksMembershipThroughLifecycle) {
     ColorId s1 = reg.create_cloud(g, CloudKind::secondary, {1, 5, 8, 9}, rng);
     ColorId s2 = reg.create_cloud(g, CloudKind::secondary, {2, 6, 10}, rng);
     expect_table_matches("create");
-    EXPECT_EQ(reg.primary_clouds_of(5), std::vector<ColorId>{p2});
+    EXPECT_EQ(reg.primary_clouds_of(g, 5), std::vector<ColorId>{p2});
 
     reg.insert_member(g, s1, 11, rng);  // secondary insert sets the slot
     reg.insert_member(g, p1, 12, rng);  // primary insert leaves it free
@@ -260,18 +266,18 @@ TEST_F(RegistryTest, SecondaryTableTracksMembershipThroughLifecycle) {
     EXPECT_EQ(reg.secondary_cloud_of(11), std::optional<ColorId>{s1});
     EXPECT_TRUE(reg.is_free(12));
 
-    reg.remove_member(g, s1, 8, rng, /*deleted_from_graph=*/false);
+    reg.remove_member(g, s1, 8, rng);
     expect_table_matches("remove, still in graph");
     EXPECT_TRUE(reg.is_free(8));
 
     g.remove_node(9);
-    reg.remove_member(g, s1, 9, rng, /*deleted_from_graph=*/true);
+    reg.remove_member(g, s1, 9, rng);
     expect_table_matches("remove, deleted from graph");
 
     // Dissolving a 2-member secondary clears both slots.
     g.remove_node(10);
-    reg.remove_member(g, s2, 10, rng, /*deleted_from_graph=*/true);
-    reg.remove_member(g, s2, 6, rng, /*deleted_from_graph=*/false);
+    reg.remove_member(g, s2, 10, rng);
+    reg.remove_member(g, s2, 6, rng);
     EXPECT_FALSE(reg.exists(s2));
     expect_table_matches("dissolve");
     EXPECT_TRUE(reg.is_free(2));

@@ -70,7 +70,7 @@ NodeId pick_bridge_victim(const core::HealingSession& session,
     std::size_t best_score = 0;
     for (NodeId v : g.nodes()) {
         if (registry.is_free(v)) continue;
-        registry.primary_clouds_of(v, prim_scratch);
+        registry.primary_clouds_of(g, v, prim_scratch);
         std::size_t score = 1 + prim_scratch.size();
         if (best == graph::invalid_node || score > best_score) {
             best = v;
@@ -94,8 +94,9 @@ NodeId pick_bridge_victim(const core::HealingSession& session,
 /// Adversary inserts restoring the population to `target`, each new node
 /// attached to three distinct random survivors. Runs OUTSIDE the measured
 /// batches: insertion itself may allocate (fresh ids grow the graph's slot
-/// table and the registry's membership index), but it keeps the workload
-/// stationary so the kill batches can reach a true steady state.
+/// table and, once they bridge, the registry's secondary table), but it
+/// keeps the workload stationary so the kill batches can reach a true
+/// steady state.
 void replenish(core::HealingSession& session, util::Rng& rng, std::size_t target,
                std::vector<NodeId>& alive, std::vector<NodeId>& nbrs) {
     while (session.current().node_count() < target) {
@@ -173,7 +174,7 @@ TEST(ConnectUnitsSoak, StructuralEventsAllocateNothingInSteadyState) {
     // the survivor's H-graph storage, events and member lists come from the
     // event pool — nothing on the structural path may touch the heap once
     // warm. Any regression (a per-event container, a re-materialized
-    // membership vector) fails here with the exact count.
+    // member list) fails here with the exact count.
     EXPECT_EQ(allocated, 0u)
         << allocated << " allocations over " << window_totals.clouds_touched
         << " structural cloud events — the arena'd connect_units path "

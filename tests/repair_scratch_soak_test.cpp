@@ -140,7 +140,7 @@ TEST(RepairScratchSoak, RegistrySpliceRebuildChurnZeroSteadyStateAllocations) {
         if (do_remove) {
             const auto& members = cloud->topology.members();
             NodeId v = members[rng.index(members.size())];
-            registry.remove_member(g, color, v, rng, /*deleted_from_graph=*/false);
+            registry.remove_member(g, color, v, rng);
             outside.push_back(v);
         } else if (!outside.empty()) {
             std::size_t at = rng.index(outside.size());
@@ -152,7 +152,7 @@ TEST(RepairScratchSoak, RegistrySpliceRebuildChurnZeroSteadyStateAllocations) {
     };
 
     // Warmup: let every node pass through the cloud at least once so the
-    // membership vectors, adjacency rows and delta and claim scratch
+    // adjacency rows, the edges' claim sets and the delta and claim scratch
     // all reach their peak capacities (including half-loss rebuilds).
     for (std::size_t step = 0; step < 3000; ++step) churn_step(step);
     registry.verify(g);

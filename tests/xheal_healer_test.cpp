@@ -125,10 +125,10 @@ struct TwoCloudFixture : ::testing::Test {
 
 TEST_F(TwoCloudFixture, SetupProducedTwoPrimaryClouds) {
     const auto& reg = healer->registry();
-    auto clouds_of_x = reg.primary_clouds_of(x);
+    auto clouds_of_x = reg.primary_clouds_of(g, x);
     EXPECT_EQ(clouds_of_x.size(), 2u);
     EXPECT_TRUE(reg.is_free(x));
-    EXPECT_FALSE(reg.in_any_cloud(y));
+    EXPECT_TRUE(reg.primary_clouds_of(g, y).empty() && reg.is_free(y));
     healer->check_consistency(g);
     EXPECT_TRUE(xheal::graph::is_connected(g));
 }
